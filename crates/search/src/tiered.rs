@@ -1858,6 +1858,14 @@ impl<K: FixedKey> TieredForest<K> {
             .is_some_and(|f| f.quarantine(shard))
     }
 
+    /// Runs `f` on the base forest (`None` before the first flush)
+    /// under the tier read lock. Unlike [`TieredForest::snapshot`] it
+    /// clones no tier, so it is the cheap way to consult the shard
+    /// router.
+    pub fn with_base<R>(&self, f: impl FnOnce(Option<&Forest<K>>) -> R) -> R {
+        f(self.shared.read_tiers().base.as_deref())
+    }
+
     /// An owned point-in-time view: wait-free queries, ranges and
     /// cursors, unaffected by later writes or compactions.
     #[must_use]

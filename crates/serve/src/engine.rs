@@ -71,10 +71,7 @@ impl ServeEngine {
             // The router is pinned across swaps (same fences, same key
             // sets), so worker affinity never migrates mid-flight.
             ServeEngine::Adaptive(a) => a.snapshot().router().route(key),
-            ServeEngine::Tiered(t) => {
-                let snap = t.snapshot();
-                snap.base().and_then(|b| b.router().route(key))
-            }
+            ServeEngine::Tiered(t) => t.with_base(|b| b.and_then(|b| b.router().route(key))),
         }
     }
 
@@ -85,10 +82,7 @@ impl ServeEngine {
         match self {
             ServeEngine::Forest(f) => f.shard_count().max(1),
             ServeEngine::Adaptive(a) => a.snapshot().shard_count().max(1),
-            ServeEngine::Tiered(t) => {
-                let snap = t.snapshot();
-                snap.base().map_or(1, |b| b.shard_count().max(1))
-            }
+            ServeEngine::Tiered(t) => t.with_base(|b| b.map_or(1, |b| b.shard_count().max(1))),
         }
     }
 
@@ -658,10 +652,23 @@ mod tests {
             .keys((1..=200u64).map(|k| k * 2))
             .build()
             .expect("tiered");
-        let engine = ServeEngine::Tiered(Arc::new(t));
+        let t = Arc::new(t);
+        let engine = ServeEngine::Tiered(Arc::clone(&t));
         assert_eq!(engine.kind(), "tiered");
         // A fresh odd key lands in the memtable: buffer-tier hit.
         assert_eq!(engine.write(7, false), Ok(Reply::Applied { applied: true }));
+        // Routing reads the base router in place, with the memtable
+        // non-empty, and agrees with a snapshot's router.
+        let snap = t.snapshot();
+        let base = snap.base().expect("built with keys");
+        assert_eq!(engine.shard_count(), base.shard_count());
+        for key in [0, 7, 100, 399, 400, 401, u64::MAX] {
+            assert_eq!(
+                engine.route_shard(key),
+                base.router().route(key),
+                "route {key}"
+            );
+        }
         assert_eq!(
             engine.write(7, false),
             Ok(Reply::Applied { applied: false })

@@ -24,8 +24,9 @@
 //!   lookups are handed off to their owning worker and answered with
 //!   the interleaved descent kernel, bounded queues reply `BUSY`
 //!   instead of buffering without limit, queued work is shed with
-//!   `TIMEOUT` past its deadline, and shutdown drains in-flight
-//!   requests before flushing the memtable;
+//!   `TIMEOUT` past its deadline, idle threads block in `poll(2)` until
+//!   a socket is ready or whoever hands them work wakes them, and
+//!   shutdown drains in-flight requests before flushing the memtable;
 //! * [`client`] — a small blocking client (one request in flight) used
 //!   by tests, the CLI and the harness's stats scrapes;
 //! * [`bomber`] — the open-loop load generator behind `cobtree-bomber`:
@@ -44,6 +45,7 @@ pub mod net;
 pub mod planner;
 pub mod sampler;
 pub mod server;
+mod wake;
 
 pub use client::{Client, RetryPolicy, RetryStats};
 pub use engine::{EngineResult, ServeEngine};

@@ -9,6 +9,7 @@
 use cobtree_core::{Error, Result};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -123,6 +124,15 @@ impl NetStream {
     }
 }
 
+impl AsRawFd for NetStream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            NetStream::Tcp(s) => s.as_raw_fd(),
+            NetStream::Unix(s) => s.as_raw_fd(),
+        }
+    }
+}
+
 impl Read for NetStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
@@ -233,6 +243,15 @@ impl NetListener {
     pub fn cleanup(addr: &Addr) {
         if let Addr::Unix(p) = addr {
             let _ = std::fs::remove_file(p);
+        }
+    }
+}
+
+impl AsRawFd for NetListener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            NetListener::Tcp(l) => l.as_raw_fd(),
+            NetListener::Unix(l) => l.as_raw_fd(),
         }
     }
 }

@@ -18,6 +18,34 @@
 //! nodes in cache. Every other opcode executes inline on the
 //! connection's own worker.
 //!
+//! No thread sleeps on a timer. A worker whose iteration did no work
+//! announces that it is going idle, takes one more non-blocking pass,
+//! and then blocks in `poll(2)` on its wake descriptor plus its
+//! connections:
+//!
+//! * `POLLIN` on a connection unless its peer has sent EOF or its unsent
+//!   replies have reached `write_buffer_cap`;
+//! * `POLLOUT` only while reply bytes are unsent;
+//! * a connection that wants neither is left out, so a hung-up peer
+//!   cannot make `poll` return at once forever.
+//!
+//! The wait ends at the nearest write-stall deadline, or after a fixed
+//! 100-ms backstop at the latest. Work that reaches a worker by any other
+//! route comes with one wake byte from whoever handed it over, written
+//! only if the target has announced, so a saturated worker's peers make
+//! no wake calls:
+//!
+//! * the worker that queues a handoff wakes the shard's owner;
+//! * the owner wakes each origin worker once per batch of completions;
+//! * the acceptor wakes the worker it deals a connection to;
+//! * a lifecycle change (the `SHUTDOWN` op, [`Server::shutdown`],
+//!   [`Server::abort`], drop) wakes every thread, and so does a
+//!   connection retired while draining, since each worker waits for the
+//!   last connection to go.
+//!
+//! The acceptor blocks the same way, on the listener and its own wake
+//! descriptor.
+//!
 //! Overload never buffers without bound:
 //!
 //! * a full handoff queue or a connection at its in-flight cap replies
@@ -36,13 +64,15 @@
 
 use crate::engine::ServeEngine;
 use crate::net::{Addr, NetListener, NetStream};
+use crate::wake::{PollFd, Wake, POLLIN, POLLOUT};
 use cobtree_core::protocol::{
     decode_request, encode_error, encode_ok, latency_bucket, peek_opcode, peek_req_id,
     FrameDecoder, Opcode, Reply, Request, StatsSnapshot, Status, LATENCY_BUCKETS,
 };
-use cobtree_core::Result;
+use cobtree_core::{Error, Result};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc};
@@ -55,6 +85,37 @@ const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
 /// Killed: threads exit as fast as possible, work is abandoned.
 const KILLED: u8 = 2;
+
+/// Longest a blocked worker or acceptor waits without a socket event or
+/// a wake. Nothing relies on it, since every hand-over wakes its target;
+/// it bounds the cost of a wake some future change forgets.
+const BACKSTOP: Duration = Duration::from_millis(100);
+
+/// The lifecycle state plus every serving thread's wake descriptor,
+/// shared by the workers, the acceptor and the [`Server`] handle.
+struct Control {
+    state: AtomicU8,
+    /// Worker `i`'s descriptor at index `i`, the acceptor's last.
+    wakes: Vec<Wake>,
+}
+
+impl Control {
+    fn state(&self) -> u8 {
+        self.state.load(Ordering::Acquire)
+    }
+
+    /// Moves to `state` and wakes every thread to act on it.
+    fn set_state(&self, state: u8) {
+        self.state.store(state, Ordering::Release);
+        self.wake_all();
+    }
+
+    fn wake_all(&self) {
+        for wake in &self.wakes {
+            wake.notify();
+        }
+    }
+}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -249,6 +310,20 @@ struct Conn {
     stalled_since: Option<Instant>,
 }
 
+impl Conn {
+    /// Reply bytes not yet written to the socket.
+    fn unsent(&self) -> usize {
+        self.out.len() - self.written
+    }
+
+    /// Whether to read the socket: not after the peer's EOF, and not
+    /// while `cap` reply bytes or more wait (backpressure on pipelining
+    /// clients).
+    fn reads(&self, cap: usize) -> bool {
+        !self.closing && self.unsent() < cap
+    }
+}
+
 /// A `Get` whose shard the connection's own worker owns: resolved
 /// locally in the same iteration, no handoff.
 struct LocalGet {
@@ -277,7 +352,7 @@ struct Worker {
     workers: usize,
     engine: ServeEngine,
     cfg: ServerConfig,
-    state: Arc<AtomicU8>,
+    ctl: Arc<Control>,
     stats: Arc<Counters>,
     conn_rx: Receiver<NetStream>,
     handoff_rx: Receiver<Job>,
@@ -286,8 +361,8 @@ struct Worker {
     done_tx: Vec<Sender<Done>>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    /// Whether the current iteration moved any bytes or jobs (idle
-    /// iterations sleep briefly instead of spinning).
+    /// Whether the current iteration moved any bytes or jobs (after two
+    /// idle iterations the worker blocks in `poll`).
     active: bool,
 }
 
@@ -316,9 +391,11 @@ impl Worker {
     fn run(mut self) {
         let mut locals: Vec<LocalGet> = Vec::new();
         let mut acks: Vec<WriteAck> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut announced = false;
         loop {
             self.active = false;
-            let state = self.state.load(Ordering::Acquire);
+            let state = self.ctl.state();
             if state == KILLED {
                 break;
             }
@@ -335,10 +412,50 @@ impl Worker {
             {
                 break;
             }
-            if !self.active {
-                std::thread::sleep(Duration::from_micros(100));
+            let wake = &self.ctl.wakes[self.index];
+            if self.active {
+                if announced {
+                    wake.cancel();
+                    announced = false;
+                }
+            } else if !announced {
+                // The next iteration is the pass that catches work
+                // handed over before the announcement.
+                wake.announce();
+                announced = true;
+            } else {
+                self.block(&mut fds);
+                announced = false;
             }
         }
+    }
+
+    /// Blocks until a connection is ready for what this worker would do
+    /// with it, a wake arrives, or the nearest write-stall deadline (at
+    /// most [`BACKSTOP`] away) passes.
+    fn block(&self, fds: &mut Vec<PollFd>) {
+        fds.clear();
+        let now = Instant::now();
+        let mut timeout = BACKSTOP;
+        for conn in self.conns.values() {
+            let mut events = 0;
+            if conn.reads(self.cfg.write_buffer_cap) {
+                events |= POLLIN;
+            }
+            if conn.unsent() > 0 {
+                events |= POLLOUT;
+            }
+            // Polling a connection that wants neither would still report
+            // its hang-up, at once and forever.
+            if events != 0 {
+                fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            }
+            if let Some(since) = conn.stalled_since {
+                let deadline = since + self.cfg.write_stall_timeout;
+                timeout = timeout.min(deadline.saturating_duration_since(now));
+            }
+        }
+        self.ctl.wakes[self.index].wait(fds, Some(timeout));
     }
 
     /// Takes ownership of connections the acceptor dealt to this
@@ -365,7 +482,7 @@ impl Worker {
 
     /// Drains this worker's handoff queue and descends its own shards
     /// for every still-live job, batched through the interleaved
-    /// kernel.
+    /// kernel; then wakes each origin worker it sent a completion to.
     fn serve_handoffs(&mut self) {
         let mut jobs: Vec<Job> = Vec::new();
         while jobs.len() < 4096 {
@@ -382,33 +499,27 @@ impl Worker {
             .queue_depth
             .fetch_sub(jobs.len() as u64, Ordering::Relaxed);
         let now = Instant::now();
-        let mut live: Vec<Job> = Vec::with_capacity(jobs.len());
-        for j in jobs {
-            if now > j.deadline {
-                let _ = self.done_tx[j.origin].send(Done {
-                    conn: j.conn,
-                    req_id: j.req_id,
-                    t0: j.t0,
-                    result: Err(Status::Timeout),
-                });
-            } else {
-                live.push(j);
-            }
-        }
-        if live.is_empty() {
-            return;
-        }
-        let keys: Vec<u64> = live.iter().map(|j| j.key).collect();
+        let (expired, live): (Vec<Job>, Vec<Job>) =
+            jobs.into_iter().partition(|j| now > j.deadline);
         let mut replies = Vec::new();
-        self.engine
-            .get_batch(&keys, self.cfg.batch_width, &mut replies);
-        for (j, reply) in live.into_iter().zip(replies) {
+        if !live.is_empty() {
+            let keys: Vec<u64> = live.iter().map(|j| j.key).collect();
+            self.engine
+                .get_batch(&keys, self.cfg.batch_width, &mut replies);
+        }
+        let mut origins = vec![false; self.workers];
+        let expired = expired.into_iter().map(|j| (j, Err(Status::Timeout)));
+        for (j, result) in expired.chain(live.into_iter().zip(replies)) {
+            origins[j.origin] = true;
             let _ = self.done_tx[j.origin].send(Done {
                 conn: j.conn,
                 req_id: j.req_id,
                 t0: j.t0,
-                result: reply,
+                result,
             });
+        }
+        for (wake, _) in self.ctl.wakes.iter().zip(origins).filter(|(_, sent)| *sent) {
+            wake.notify();
         }
     }
 
@@ -455,8 +566,7 @@ impl Worker {
         draining: bool,
     ) -> bool {
         // Read — unless the peer owes us a drained write buffer.
-        let backpressured = conn.out.len() - conn.written >= self.cfg.write_buffer_cap;
-        if !conn.closing && !backpressured {
+        if conn.reads(self.cfg.write_buffer_cap) {
             let mut scratch = [0u8; 16 * 1024];
             loop {
                 match conn.stream.read(&mut scratch) {
@@ -506,7 +616,7 @@ impl Worker {
                 return false;
             }
         }
-        let drained = conn.inflight == 0 && conn.out.len() == conn.written;
+        let drained = conn.inflight == 0 && conn.unsent() == 0;
         if (conn.closing || draining) && drained {
             return false;
         }
@@ -617,6 +727,7 @@ impl Worker {
         };
         match self.handoff_tx[owner].try_send(job) {
             Ok(()) => {
+                self.ctl.wakes[owner].notify();
                 conn.inflight += 1;
                 self.stats.handoffs.fetch_add(1, Ordering::Relaxed);
                 self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
@@ -668,7 +779,7 @@ impl Worker {
                 Ok(Reply::Stats(Box::new(snap)))
             }
             Request::Shutdown => {
-                self.state.store(DRAINING, Ordering::Release);
+                self.ctl.set_state(DRAINING);
                 Ok(Reply::Applied { applied: true })
             }
             Request::Get { .. } | Request::Insert { .. } | Request::Remove { .. } => {
@@ -746,13 +857,17 @@ impl Worker {
         true
     }
 
-    /// Books a closed connection.
+    /// Books a closed connection. While draining, every worker waits
+    /// for the last live connection to go, so each is woken to re-check.
     fn retire(&mut self, conn: Conn) {
         conn.stream.shutdown_write();
         self.stats
             .connections_closed
             .fetch_add(1, Ordering::Relaxed);
         self.stats.live_conns.fetch_sub(1, Ordering::Relaxed);
+        if self.ctl.state() != RUNNING {
+            self.ctl.wake_all();
+        }
     }
 }
 
@@ -760,27 +875,50 @@ impl Worker {
 // Acceptor
 // ---------------------------------------------------------------------
 
+/// Accepts connections and deals them round-robin, waking the worker
+/// dealt to. With nothing to accept it announces, re-checks the state
+/// and blocks in `poll` on the listener and its own wake descriptor.
 fn run_acceptor(
     listener: NetListener,
-    state: &AtomicU8,
+    ctl: &Control,
     stats: &Counters,
     conn_tx: &[Sender<NetStream>],
 ) {
+    let wake = ctl
+        .wakes
+        .last()
+        .expect("the acceptor's wake follows the workers'");
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut next = 0usize;
-    while state.load(Ordering::Acquire) == RUNNING {
+    while ctl.state() == RUNNING {
         match listener.accept() {
             Ok(Some(stream)) => {
                 let _ = stream.set_nonblocking(true);
                 stream.set_nodelay();
                 stats.connections_opened.fetch_add(1, Ordering::Relaxed);
                 stats.live_conns.fetch_add(1, Ordering::Relaxed);
-                if conn_tx[next % conn_tx.len()].send(stream).is_err() {
+                let worker = next % conn_tx.len();
+                if conn_tx[worker].send(stream).is_ok() {
+                    ctl.wakes[worker].notify();
+                } else {
                     stats.live_conns.fetch_sub(1, Ordering::Relaxed);
                     stats.connections_closed.fetch_add(1, Ordering::Relaxed);
+                    // Draining workers wait for the live count to reach 0.
+                    ctl.wake_all();
                 }
                 next = next.wrapping_add(1);
             }
-            Ok(None) => std::thread::sleep(Duration::from_micros(250)),
+            Ok(None) => {
+                wake.announce();
+                if ctl.state() != RUNNING {
+                    break;
+                }
+                fds.clear();
+                fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                wake.wait(&mut fds, Some(BACKSTOP));
+            }
+            // Back off from persistent failures such as running out of
+            // descriptors.
             Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
@@ -818,7 +956,7 @@ fn run_scrubber(engine: &ServeEngine, state: &AtomicU8, interval: Duration, budg
 pub struct Server {
     addr: Addr,
     engine: ServeEngine,
-    state: Arc<AtomicU8>,
+    ctl: Arc<Control>,
     stats: Arc<Counters>,
     acceptor: Option<JoinHandle<()>>,
     scrubber: Option<JoinHandle<()>>,
@@ -838,7 +976,14 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let workers = cfg.effective_workers();
-        let state = Arc::new(AtomicU8::new(RUNNING));
+        let wakes = (0..=workers)
+            .map(|_| Wake::new())
+            .collect::<std::io::Result<Vec<Wake>>>()
+            .map_err(|e| Error::io(&e))?;
+        let ctl = Arc::new(Control {
+            state: AtomicU8::new(RUNNING),
+            wakes,
+        });
         let stats = Arc::new(Counters::new());
 
         let mut conn_txs = Vec::with_capacity(workers);
@@ -870,7 +1015,7 @@ impl Server {
                 workers,
                 engine: engine.clone(),
                 cfg: cfg.clone(),
-                state: Arc::clone(&state),
+                ctl: Arc::clone(&ctl),
                 stats: Arc::clone(&stats),
                 conn_rx,
                 handoff_rx,
@@ -894,23 +1039,23 @@ impl Server {
         drop(done_txs);
 
         let acceptor = {
-            let state = Arc::clone(&state);
+            let ctl = Arc::clone(&ctl);
             let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("serve-acceptor".to_string())
-                .spawn(move || run_acceptor(listener, &state, &stats, &conn_txs))
+                .spawn(move || run_acceptor(listener, &ctl, &stats, &conn_txs))
                 .expect("spawn acceptor thread")
         };
 
         let mut scrubber = None;
         if let Some(interval) = cfg.scrub_interval {
-            let state = Arc::clone(&state);
+            let ctl = Arc::clone(&ctl);
             let engine = engine.clone();
             let budget = cfg.scrub_shards_per_pass;
             scrubber = Some(
                 std::thread::Builder::new()
                     .name("serve-scrub".to_string())
-                    .spawn(move || run_scrubber(&engine, &state, interval, budget))
+                    .spawn(move || run_scrubber(&engine, &ctl.state, interval, budget))
                     .expect("spawn scrub thread"),
             );
         }
@@ -918,7 +1063,7 @@ impl Server {
         Ok(Server {
             addr: bound,
             engine,
-            state,
+            ctl,
             stats,
             acceptor: Some(acceptor),
             scrubber,
@@ -946,7 +1091,7 @@ impl Server {
     /// of the running state.
     #[must_use]
     pub fn is_draining(&self) -> bool {
-        self.state.load(Ordering::Acquire) != RUNNING
+        self.ctl.state() != RUNNING
     }
 
     fn join_threads(&mut self) {
@@ -970,7 +1115,7 @@ impl Server {
     /// # Errors
     /// The final memtable flush failing.
     pub fn shutdown(mut self) -> Result<StatsSnapshot> {
-        self.state.store(DRAINING, Ordering::Release);
+        self.ctl.set_state(DRAINING);
         self.join_threads();
         if let ServeEngine::Tiered(t) = &self.engine {
             t.flush()?;
@@ -982,14 +1127,14 @@ impl Server {
     /// memtable — from the store's point of view this is a crash, and
     /// the recovery tests use it as one.
     pub fn abort(mut self) {
-        self.state.store(KILLED, Ordering::Release);
+        self.ctl.set_state(KILLED);
         self.join_threads();
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.state.store(KILLED, Ordering::Release);
+        self.ctl.set_state(KILLED);
         self.join_threads();
     }
 }
