@@ -5,7 +5,7 @@
 //! slow storage with near-optimal block transfers; Demaine et al.'s
 //! external-memory layout work is explicit that the payoff exists only
 //! when the byte order on the medium is the layout order. The zero-copy
-//! persistence subsystem (`SearchTree::save`/`open`, `docs/FORMAT.md`)
+//! persistence subsystem (`SearchTree::write_file`/`open`, `docs/FORMAT.md`)
 //! makes that scenario real, and these experiments hold it to the
 //! contract: a memory-mapped tree file must replay **no more** block
 //! transfers than the heap-resident implicit backend it was serialized

@@ -11,7 +11,7 @@ use crate::report::Table;
 use crate::timing::median_time;
 use cobtree_core::NamedLayout;
 use cobtree_search::workload::UniformKeys;
-use cobtree_search::{ExplicitTree, ImplicitTree, IndexOnlySearcher};
+use cobtree_search::{ExplicitTree, ImplicitTree, IndexOnlySearcher, SearchBackend};
 
 fn keys_for(h: u32, count: usize, seed: u64) -> Vec<u64> {
     UniformKeys::for_height(h, seed).take_vec(count)

@@ -31,6 +31,7 @@ use cobtree_search::workload::UniformKeys;
 use cobtree_search::{Forest, Storage};
 use std::hint::black_box;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Sample one in `2^LATENCY_SHIFT` reads for the latency percentiles
@@ -170,10 +171,14 @@ fn read_phase(
 /// in per-run temp directories and removes them on the way out.
 #[must_use]
 pub fn run(cfg: &TieredBenchConfig) -> TieredBenchReport {
+    // Concurrent runs in one process (parallel test threads) may share
+    // a seed, so the directory also carries a per-process run counter.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
     let scratch = std::env::temp_dir().join(format!(
-        "cobtree-tiered-bench-{}-{:x}",
+        "cobtree-tiered-bench-{}-{:x}-{}",
         std::process::id(),
-        cfg.seed
+        cfg.seed,
+        RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::remove_dir_all(&scratch).ok();
     let forest_dir = scratch.join("forest");

@@ -6,7 +6,7 @@ use cobtree_bench::bench_height;
 use cobtree_core::{EdgeWeights, NamedLayout};
 use cobtree_measures::functionals;
 use cobtree_search::workload::UniformKeys;
-use cobtree_search::ImplicitTree;
+use cobtree_search::{ImplicitTree, SearchBackend};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;

@@ -189,7 +189,7 @@ impl std::fmt::Display for Error {
             ),
             Error::MappedStorageRequiresFile => f.write_str(
                 "Storage::Mapped serves a saved tree file; build with an in-memory storage, \
-                 then SearchTree::save and SearchTree::open",
+                 then SearchTree::write_file and SearchTree::open",
             ),
             Error::ShardUnavailable { shard } => {
                 write!(f, "shard {shard} is quarantined and unavailable until healed")

@@ -94,7 +94,7 @@ pub const HEADER_HASH_OFFSET: usize = 88;
 // ---------------------------------------------------------------------------
 
 /// A key type with a fixed little-endian wire encoding — the bound for
-/// every persistence entry point ([`encode_tree`], `SearchTree::save`,
+/// every persistence entry point ([`encode_tree`], `SearchTree::write_file`,
 /// `MappedTree`). The `TAG` goes into the file header so a reader
 /// opening the file under the wrong type gets a typed
 /// [`Error::KeyTypeMismatch`] instead of garbage keys.
@@ -383,7 +383,7 @@ fn check_shape(height: u32, key_count: u64, block_bytes: u64) -> Result<u64> {
 /// `key_at_position(p)` must return the key stored at layout position
 /// `p` for real slots and `None` for padding slots (which are written as
 /// zero bytes). The caller guarantees the mapping is consistent with
-/// the descriptor — `cobtree-search`'s `SearchTree::save` derives both
+/// the descriptor — `cobtree-search`'s `SearchTree::encode` derives both
 /// from one shared position index, and the round-trip property tests
 /// hold it to that.
 ///

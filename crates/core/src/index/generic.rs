@@ -45,15 +45,8 @@ impl GenericIndexer {
 }
 
 /// Position-rank of `leaf` among the leaves of the height-`g` subtree
-/// rooted at `root`, arranged per `mode` (shared by the indexer and the
-/// incremental stepper).
-pub(crate) fn leaf_rank(
-    spec: &RecursiveSpec,
-    root: NodeId,
-    g: u32,
-    mode: Mode,
-    leaf: NodeId,
-) -> u64 {
+/// rooted at `root`, arranged per `mode`.
+fn leaf_rank(spec: &RecursiveSpec, root: NodeId, g: u32, mode: Mode, leaf: NodeId) -> u64 {
     if g == 1 {
         debug_assert_eq!(leaf, root);
         return 0;

@@ -21,7 +21,6 @@
 pub mod generic;
 pub mod plan;
 pub mod simple;
-pub mod stepper;
 pub mod veb;
 pub mod wep;
 

@@ -4,11 +4,27 @@
 //! The paper's point is that the search *algorithm* is identical across
 //! layouts and storage kinds — only the position computation changes.
 //! This trait makes that literal: pointer-based ([`crate::ExplicitTree`]),
-//! pointer-less ([`crate::ImplicitTree`]), index-only
-//! ([`crate::IndexOnlyTree`]), stepper-driven ([`crate::SteppingTree`])
-//! trees and the [`crate::SearchTree`] facade all expose the same
-//! surface, so benches, the cache simulator and the analysis harness
-//! iterate backends generically through `&dyn SearchBackend<K>`.
+//! pointer-less ([`crate::ImplicitTree`], [`crate::FatHeapTree`]),
+//! index-only ([`crate::IndexOnlyTree`]) and mapped
+//! ([`crate::MappedTree`]) trees and the [`crate::SearchTree`] facade
+//! all expose the same surface, so benches, the cache simulator and the
+//! analysis harness iterate backends generically through
+//! `&dyn SearchBackend<K>`.
+//!
+//! # Who implements what
+//!
+//! The four *plane backends* (implicit, fat heap, index-only, mapped)
+//! implement none of this trait by hand. Each states its planes — a
+//! fast plane for the compiled kernels and a reference plane for the
+//! oracle — and one blanket impl in [`crate::kernel`] implements the whole
+//! trait for all of them: the kernel entry points, the rank primitives
+//! (read off the reference plane), and `search_reference` /
+//! `search_traced`, which are the one three-way reference walk
+//! ([`crate::kernel::reference_walk`]) without and with a trace sink.
+//! [`crate::ExplicitTree`] implements the trait directly, with pointer
+//! kernels and one pointer walk of its own, and the facade forwards to
+//! whichever backend it holds. Every implementor states both its kernel
+//! and its oracle: none of the search entry points has a default.
 //!
 //! # The position ⇄ in-order rank contract
 //!
@@ -24,11 +40,12 @@
 //!   among the stored keys (layout-independent; what ordered-map
 //!   operations speak).
 //!
-//! The two required primitives [`SearchBackend::key_at_rank`] and
+//! The two primitives [`SearchBackend::key_at_rank`] and
 //! [`SearchBackend::position_of_rank`] translate rank → (key, position);
-//! everything else — `lower_bound`/`upper_bound`, `rank`/`select`,
-//! cursors and range scans ([`crate::cursor`]), and sorted-batch search
-//! — is provided once on the trait and inherited by all backends.
+//! together with the bound-rank descents they carry everything else —
+//! `lower_bound`/`upper_bound`, `rank`/`select`, cursors and range scans
+//! ([`crate::cursor`]), and sorted-batch search — which is provided once
+//! on the trait and inherited by all backends.
 //!
 //! Contract details implementations must uphold:
 //!
@@ -37,7 +54,7 @@
 //! * the underlying complete tree may be *larger* than `key_count`
 //!   (padding, as in the [`crate::SearchTree`] facade): for padded ranks
 //!   `key_count < r ≤ 2^h − 1`, `key_at_rank` returns `None` — the
-//!   provided descents treat such slots as `+∞` — while
+//!   descents treat such slots as `+∞` — while
 //!   `position_of_rank` still returns the padding node's position so
 //!   traced walks record every touched node;
 //! * `position_of_rank(r)` agrees with [`SearchBackend::search`]: for a
@@ -63,8 +80,10 @@ pub trait SearchBackend<K: Copy + Ord> {
     /// node holding it, if present.
     fn search(&self, key: K) -> Option<u64>;
 
-    /// Like [`SearchBackend::search`], recording the layout position of
-    /// every visited node (for cache-simulation traces).
+    /// The reference descent, recording the layout position of every
+    /// visited node (for cache-simulation traces; fat-node planes record
+    /// every slot of each visited chunk). Returns what
+    /// [`SearchBackend::search`] returns.
     fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64>;
 
     /// Key stored at 1-based in-order rank `rank`, or `None` when
@@ -78,97 +97,48 @@ pub trait SearchBackend<K: Copy + Ord> {
     /// ranks, so traces can record every touched node.
     fn position_of_rank(&self, rank: u64) -> Option<u64>;
 
+    /// The reference descent — one node per level, a three-way compare
+    /// — kept as the oracle the compiled kernels are verified against
+    /// (and as the `reference` row of the kernel ledger).
+    fn search_reference(&self, key: K) -> Option<u64>;
+
+    /// [`SearchBackend::search_traced`] on the compiled kernel: a
+    /// branch-free full-height descent whose recorded trace is truncated
+    /// at the match, so the visited sequence is **bit-identical** to the
+    /// reference trace (the repro harness asserts the two hit the same
+    /// simulated-L1 blocks).
+    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64>;
+
+    /// Searches an arbitrary-order probe batch with up to `width`
+    /// lookups interleaved in flight (memory-level parallelism — see
+    /// [`crate::kernel`]). `out` is cleared and filled with one entry
+    /// per probe, in probe order; results are bit-identical to mapping
+    /// [`SearchBackend::search`] over the batch.
+    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>);
+
+    /// Sums the positions of all successful lookups — the benchmark
+    /// kernel whose result must be consumed to defeat dead-code
+    /// elimination. Backends built from the same position index return
+    /// identical checksums for identical keys. Allocation-free: runs the
+    /// interleaved kernel at [`crate::kernel::DEFAULT_LANES`].
+    fn search_batch_checksum(&self, keys: &[K]) -> u64;
+
+    /// 1-based in-order rank of the first stored key `>= key`, or
+    /// `key_count() + 1` when every stored key is smaller.
+    fn lower_bound_rank(&self, key: K) -> u64;
+
+    /// 1-based in-order rank of the first stored key `> key`, or
+    /// `key_count() + 1` when none is larger.
+    fn upper_bound_rank(&self, key: K) -> u64;
+
     // ------------------------------------------------------------------
-    // Provided: point queries
+    // Provided: point queries and ordered navigation
     // ------------------------------------------------------------------
 
     /// Membership test — provided so callers stop re-deriving it from
     /// [`SearchBackend::search`].
     fn contains(&self, key: K) -> bool {
         self.search(key).is_some()
-    }
-
-    /// The pre-kernel descent path, kept as the oracle the compiled
-    /// kernels are verified against. Backends with a compiled kernel
-    /// override this with their original per-level loop; for everything
-    /// else `search` *is* the reference, which the default reflects.
-    fn search_reference(&self, key: K) -> Option<u64> {
-        self.search(key)
-    }
-
-    /// [`SearchBackend::search_traced`] on the compiled kernel: a
-    /// branch-free full-height descent whose recorded trace is truncated
-    /// at the match, so the visited sequence is **bit-identical** to the
-    /// slow path's (the repro harness asserts the two hit the same
-    /// simulated-L1 blocks). Backends without a kernel fall back to the
-    /// slow trace, which is trivially identical.
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        self.search_traced(key, visited)
-    }
-
-    /// Searches an arbitrary-order probe batch with up to `width`
-    /// lookups interleaved in flight (memory-level parallelism — see
-    /// [`crate::kernel`]). `out` is cleared and filled with one entry
-    /// per probe, in probe order; results are bit-identical to mapping
-    /// [`SearchBackend::search`] over the batch, which is exactly what
-    /// the default does for backends without an interleaved kernel.
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        let _ = width;
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.search(k)));
-    }
-
-    /// Sums the positions of all successful lookups — the benchmark
-    /// kernel whose result must be consumed to defeat dead-code
-    /// elimination. Backends built from the same position index return
-    /// identical checksums for identical keys. Scratch-free: no
-    /// allocation, one [`SearchBackend::search`] per probe. The four
-    /// storage backends override this with the shared interleaved
-    /// checksum kernel ([`crate::kernel::batch_checksum`]); the sum is
-    /// identical either way.
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        let mut acc = 0u64;
-        for &k in keys {
-            if let Some(p) = self.search(k) {
-                acc = acc.wrapping_add(p);
-            }
-        }
-        acc
-    }
-
-    // ------------------------------------------------------------------
-    // Provided: ordered navigation (rank/select, bounds)
-    // ------------------------------------------------------------------
-
-    /// 1-based in-order rank of the first stored key `>= key`, or
-    /// `key_count() + 1` when every stored key is smaller.
-    fn lower_bound_rank(&self, key: K) -> u64 {
-        lower_bound_impl(self, key, None)
-    }
-
-    /// [`SearchBackend::lower_bound_rank`], recording the layout
-    /// position of every node the descent visits (padding included).
-    fn lower_bound_rank_traced(&self, key: K, visited: &mut Vec<u64>) -> u64 {
-        lower_bound_impl(self, key, Some(visited))
-    }
-
-    /// 1-based in-order rank of the first stored key `> key`, or
-    /// `key_count() + 1` when none is larger.
-    fn upper_bound_rank(&self, key: K) -> u64 {
-        let h = self.height();
-        let tree = Tree::new(h);
-        let mut i = 1u64;
-        for _ in 0..h {
-            let r = tree.in_order_rank(i);
-            // Padding slots compare as +∞, so `key < slot` goes left.
-            let go_right = match self.key_at_rank(r) {
-                Some(k) => key >= k,
-                None => false,
-            };
-            i = (i << 1) | u64::from(go_right);
-        }
-        // `i` is a virtual leaf; its gap index counts the slots <= key.
-        (i - (1u64 << h)) + 1
     }
 
     /// Number of stored keys strictly less than `key` (a key's 0-based
@@ -258,38 +228,6 @@ pub trait SearchBackend<K: Copy + Ord> {
     ) -> Result<()> {
         sorted_batch_impl(self, keys, out, Some(visited))
     }
-}
-
-/// Shared descent for `lower_bound_rank{,_traced}`: first rank holding a
-/// key `>= probe`, visiting one node per level like `search_traced`.
-fn lower_bound_impl<K, B>(backend: &B, key: K, mut visited: Option<&mut Vec<u64>>) -> u64
-where
-    K: Copy + Ord,
-    B: SearchBackend<K> + ?Sized,
-{
-    let h = backend.height();
-    let tree = Tree::new(h);
-    let mut i = 1u64;
-    for _ in 0..h {
-        let r = tree.in_order_rank(i);
-        if let Some(v) = visited.as_deref_mut() {
-            if let Some(p) = backend.position_of_rank(r) {
-                v.push(p);
-            }
-        }
-        match backend.key_at_rank(r) {
-            Some(k) => match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return r,
-                std::cmp::Ordering::Less => i <<= 1,
-                std::cmp::Ordering::Greater => i = (i << 1) | 1,
-            },
-            // Padding slot: compares as +∞, descend left.
-            None => i <<= 1,
-        }
-    }
-    // `i` is a virtual leaf in [2^h, 2^{h+1}); exactly `i − 2^h` slots
-    // precede its gap in in-order, all strictly below `key`.
-    (i - (1u64 << h)) + 1
 }
 
 /// Shared sorted-batch kernel. Maintains the current root-to-node path as
@@ -412,17 +350,6 @@ mod tests {
         }
         assert_eq!(t.select(0), None);
         assert_eq!(t.select(64), None);
-    }
-
-    #[test]
-    fn lower_bound_trace_matches_search_trace_for_present_keys() {
-        let t = tree(7);
-        for k in [10u64, 640, 1270] {
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            let rank = t.lower_bound_rank_traced(k, &mut a);
-            assert_eq!(t.search_traced(k, &mut b), t.position_of_rank(rank));
-            assert_eq!(a, b, "key {k}");
-        }
     }
 
     #[test]

@@ -155,12 +155,6 @@ impl<K: Ord + Copy> ExplicitTree<K> {
         }
     }
 
-    /// Tree height.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -184,87 +178,35 @@ impl<K: Ord + Copy> ExplicitTree<K> {
     pub fn nodes(&self) -> &[Node<K>] {
         &self.nodes
     }
-
-    /// Searches for `key`; returns its array position if present.
-    ///
-    /// Runs on the branch-free pointer kernel (conditional child
-    /// select, both children prefetched a level ahead — see
-    /// [`crate::kernel::explicit_search`]); results are bit-identical
-    /// to [`ExplicitTree::search_reference`].
-    #[inline]
-    pub fn search(&self, key: K) -> Option<u64> {
-        kernel::explicit_search(&self.nodes, self.root_pos, self.height, key)
-    }
-
-    /// The pre-kernel hot loop the paper times — follow child
-    /// positions, compare keys, no arithmetic — kept as the oracle the
-    /// kernel is verified against.
-    #[inline]
-    pub fn search_reference(&self, key: K) -> Option<u64> {
-        let mut pos = self.root_pos;
-        while pos != Self::NIL {
-            // Safety bounds: positions come from the validated layout.
-            let node = &self.nodes[pos as usize];
-            pos = match key.cmp(&node.key) {
-                std::cmp::Ordering::Equal => return Some(u64::from(pos)),
-                std::cmp::Ordering::Less => node.left,
-                std::cmp::Ordering::Greater => node.right,
-            };
-        }
-        None
-    }
-
-    /// Searches an arbitrary-order probe batch with up to `width`
-    /// pointer descents interleaved in flight
-    /// ([`crate::kernel::explicit_fold_interleaved`]). `out` is cleared
-    /// and filled in probe order, bit-identical to mapping
-    /// [`ExplicitTree::search`].
-    pub fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        kernel::explicit_fold_interleaved(
-            &self.nodes,
-            self.root_pos,
-            self.height,
-            keys,
-            width,
-            |idx, r| out[idx] = r,
-        );
-    }
-
-    /// Like [`ExplicitTree::search`] but records every visited position
-    /// (for cache-simulation traces).
-    pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        let mut pos = self.root_pos;
-        while pos != Self::NIL {
-            visited.push(u64::from(pos));
-            let node = &self.nodes[pos as usize];
-            pos = match key.cmp(&node.key) {
-                std::cmp::Ordering::Equal => return Some(u64::from(pos)),
-                std::cmp::Ordering::Less => node.left,
-                std::cmp::Ordering::Greater => node.right,
-            };
-        }
-        None
-    }
-
-    /// Sums the positions of many lookups — a benchmark kernel whose
-    /// result must be consumed to defeat dead-code elimination.
-    /// Dispatches to the shared interleaved checksum kernel; the sum is
-    /// identical to accumulating per-probe searches.
-    #[must_use]
-    pub fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        kernel::explicit_batch_checksum(
-            &self.nodes,
-            self.root_pos,
-            self.height,
-            keys,
-            kernel::DEFAULT_LANES,
-        )
-    }
 }
 
 impl<K: Ord + Copy> ExplicitTree<K> {
+    /// The pointer walk — follow child positions, compare keys, no
+    /// arithmetic: the hot loop the paper times, kept as the oracle
+    /// the pointer kernels are verified against and as the traced
+    /// descent (`visited` records every visited position). Returns the
+    /// match's array position (`None` on a miss) and the BFS node the
+    /// walk ended at: the match's, or on a miss the virtual leaf
+    /// `2^h ≤ i < 2^{h+1}` it fell out at.
+    fn walk(&self, key: K, mut visited: Option<&mut Vec<u64>>) -> (Option<u32>, u64) {
+        let mut pos = self.root_pos;
+        let mut i = 1u64;
+        for _ in 0..self.height {
+            if let Some(v) = visited.as_deref_mut() {
+                v.push(u64::from(pos));
+            }
+            let node = &self.nodes[pos as usize];
+            let go_right = match key.cmp(&node.key) {
+                std::cmp::Ordering::Equal => return (Some(pos), i),
+                std::cmp::Ordering::Less => false,
+                std::cmp::Ordering::Greater => true,
+            };
+            pos = if go_right { node.right } else { node.left };
+            i = (i << 1) | u64::from(go_right);
+        }
+        (None, i)
+    }
+
     /// Array position of the node with 1-based in-order `rank`, found by
     /// walking child pointers along its root path (`O(depth)`; no index
     /// arithmetic is stored with an explicit tree).
@@ -299,6 +241,10 @@ impl ExplicitTree<u64> {
     }
 }
 
+/// Pointer kernels for search, the pointer walk for the oracle and
+/// traces, and child-pointer descents (O(h) total) for ranks and sorted
+/// batches — the generic rank-based descents would pay an O(depth)
+/// pointer walk per visited node.
 impl<K: Ord + Copy> SearchBackend<K> for ExplicitTree<K> {
     fn height(&self) -> u32 {
         self.height
@@ -308,28 +254,13 @@ impl<K: Ord + Copy> SearchBackend<K> for ExplicitTree<K> {
         self.key_count
     }
 
+    #[inline]
     fn search(&self, key: K) -> Option<u64> {
-        ExplicitTree::search(self, key)
-    }
-
-    fn search_reference(&self, key: K) -> Option<u64> {
-        ExplicitTree::search_reference(self, key)
+        kernel::explicit_search(&self.nodes, self.root_pos, self.height, key)
     }
 
     fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        ExplicitTree::search_traced(self, key, visited)
-    }
-
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        kernel::explicit_search_traced(&self.nodes, self.root_pos, self.height, key, visited)
-    }
-
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        ExplicitTree::search_batch_interleaved(self, keys, width, out);
-    }
-
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        ExplicitTree::search_batch_checksum(self, keys)
+        self.walk(key, Some(visited)).0.map(u64::from)
     }
 
     fn key_at_rank(&self, rank: u64) -> Option<K> {
@@ -340,16 +271,46 @@ impl<K: Ord + Copy> SearchBackend<K> for ExplicitTree<K> {
         self.walk_to_rank(rank).map(u64::from)
     }
 
-    // The generic descent would pay an O(depth) pointer walk per visited
-    // node; these overrides follow child pointers directly (O(h) total)
-    // while tracking the BFS index for the rank arithmetic.
-
-    fn lower_bound_rank(&self, key: K) -> u64 {
-        self.explicit_lower_bound(key, None)
+    fn search_reference(&self, key: K) -> Option<u64> {
+        self.walk(key, None).0.map(u64::from)
     }
 
-    fn lower_bound_rank_traced(&self, key: K, visited: &mut Vec<u64>) -> u64 {
-        self.explicit_lower_bound(key, Some(visited))
+    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
+        kernel::explicit_search_traced(&self.nodes, self.root_pos, self.height, key, visited)
+    }
+
+    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
+        let emit = kernel::collect_into(out, keys.len());
+        kernel::explicit_fold_interleaved(
+            &self.nodes,
+            self.root_pos,
+            self.height,
+            keys,
+            width,
+            emit,
+        );
+    }
+
+    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
+        let mut acc = 0u64;
+        kernel::explicit_fold_interleaved(
+            &self.nodes,
+            self.root_pos,
+            self.height,
+            keys,
+            kernel::DEFAULT_LANES,
+            kernel::sum_into(&mut acc),
+        );
+        acc
+    }
+
+    fn lower_bound_rank(&self, key: K) -> u64 {
+        match self.walk(key, None) {
+            (Some(_), i) => cobtree_core::Tree::new(self.height).in_order_rank(i),
+            // Exactly `i − 2^h` slots precede the leaf's gap in
+            // in-order, all strictly below `key`.
+            (None, i) => (i - (1u64 << self.height)) + 1,
+        }
     }
 
     fn upper_bound_rank(&self, key: K) -> u64 {
@@ -435,30 +396,6 @@ impl<K: Ord + Copy> ExplicitTree<K> {
             out.push(result);
         }
         Ok(())
-    }
-
-    fn explicit_lower_bound(&self, key: K, mut visited: Option<&mut Vec<u64>>) -> u64 {
-        let tree = cobtree_core::Tree::new(self.height);
-        let mut pos = self.root_pos;
-        let mut i = 1u64;
-        for _ in 0..self.height {
-            if let Some(v) = visited.as_deref_mut() {
-                v.push(u64::from(pos));
-            }
-            let node = &self.nodes[pos as usize];
-            match key.cmp(&node.key) {
-                std::cmp::Ordering::Equal => return tree.in_order_rank(i),
-                std::cmp::Ordering::Less => {
-                    pos = node.left;
-                    i <<= 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    pos = node.right;
-                    i = (i << 1) | 1;
-                }
-            }
-        }
-        (i - (1u64 << self.height)) + 1
     }
 }
 

@@ -421,7 +421,7 @@ enum Inner<K> {
 }
 
 /// Where the layout came from — drives the descriptor kind
-/// [`SearchTree::save`] writes: named layouts travel by name (no
+/// [`SearchTree::encode`] writes: named layouts travel by name (no
 /// position table in the file), everything else as a materialized
 /// table.
 #[derive(Clone, Copy)]
@@ -725,9 +725,7 @@ pub enum DescriptorKind {
 /// alignment, descriptor kind, and the traffic profile the layout was
 /// built for (written as a `.cobw` sidecar next to the tree file —
 /// byte spec in `docs/FORMAT.md`). Consumed by [`SearchTree::encode`]
-/// and [`SearchTree::write_file`]; the pre-redesign methods
-/// (`save`/`save_with`/`to_file_bytes`/`to_file_bytes_with`) remain as
-/// deprecated wrappers over these two.
+/// and [`SearchTree::write_file`].
 ///
 /// ```
 /// use cobtree_search::{SaveOptions, SearchTree};
@@ -945,48 +943,6 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
         }
     }
 
-    /// Serializes with all-default [`SaveOptions`].
-    ///
-    /// # Errors
-    /// As for [`SearchTree::encode`].
-    #[deprecated(since = "0.3.0", note = "use `encode(&SaveOptions::new())`")]
-    pub fn to_file_bytes(&self) -> Result<Vec<u8>> {
-        self.encode(&SaveOptions::new())
-    }
-
-    /// Serializes with an explicit block alignment.
-    ///
-    /// # Errors
-    /// As for [`SearchTree::encode`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `encode(&SaveOptions::new().block_bytes(...))`"
-    )]
-    pub fn to_file_bytes_with(&self, block_bytes: u64) -> Result<Vec<u8>> {
-        self.encode(&SaveOptions::new().block_bytes(block_bytes))
-    }
-
-    /// Writes to `path` with all-default [`SaveOptions`].
-    ///
-    /// # Errors
-    /// As for [`SearchTree::write_file`].
-    #[deprecated(since = "0.3.0", note = "use `write_file(path, &SaveOptions::new())`")]
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.write_file(path, &SaveOptions::new())
-    }
-
-    /// Writes to `path` with an explicit block alignment.
-    ///
-    /// # Errors
-    /// As for [`SearchTree::write_file`].
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `write_file(path, &SaveOptions::new().block_bytes(...))`"
-    )]
-    pub fn save_with(&self, path: impl AsRef<Path>, block_bytes: u64) -> Result<()> {
-        self.write_file(path, &SaveOptions::new().block_bytes(block_bytes))
-    }
-
     /// Memory-maps a saved tree file and serves it as a
     /// [`Storage::Mapped`] tree — the full ordered-map API (cursors,
     /// ranges, rank/select, sorted batches) over the file bytes with
@@ -1115,13 +1071,6 @@ impl<K: Ord + Copy> SearchBackend<K> for SearchTree<K> {
         match self.inner() {
             InnerRef::Slots(b) => b.lower_bound_rank(Slot::Key(key)),
             InnerRef::Keys(b) => b.lower_bound_rank(key),
-        }
-    }
-
-    fn lower_bound_rank_traced(&self, key: K, visited: &mut Vec<u64>) -> u64 {
-        match self.inner() {
-            InnerRef::Slots(b) => b.lower_bound_rank_traced(Slot::Key(key), visited),
-            InnerRef::Keys(b) => b.lower_bound_rank_traced(key, visited),
         }
     }
 

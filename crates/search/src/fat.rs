@@ -18,8 +18,7 @@
 //! raw `.cobt` bytes and masks padding by real-key count — both produce
 //! identical ranks per chunk, hence identical results and traces.
 
-use crate::backend::SearchBackend;
-use crate::kernel::{self, FatPlane};
+use crate::kernel::{self, ArrayPlane, DescentPlane, FastPlane, FatPlane, Planes, PosRef};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::fat::FatIndex;
 use cobtree_core::index::PositionIndex;
@@ -132,14 +131,6 @@ impl<K: Ord + Copy> FatHeapTree<K> {
         }
     }
 
-    #[inline]
-    fn plane(&self) -> FatSlotPlane<'_, K> {
-        FatSlotPlane {
-            index: &self.index,
-            slots: &self.slots,
-        }
-    }
-
     /// The layout's position arithmetic.
     #[must_use]
     pub fn index(&self) -> &FatIndex {
@@ -151,82 +142,6 @@ impl<K: Ord + Copy> FatHeapTree<K> {
     #[must_use]
     pub fn slots(&self) -> &[K] {
         &self.slots
-    }
-
-    /// Searches for `key` on the fat descent kernel: one rank-of-key
-    /// per fat level. Returns the slot position of the match.
-    #[inline]
-    pub fn search(&self, key: K) -> Option<u64> {
-        kernel::fat_search(&self.plane(), key)
-    }
-
-    /// The binary oracle: a plain three-way descent over
-    /// [`FatIndex::position`], one node at a time. The fat kernel must
-    /// be bit-identical to this.
-    #[inline]
-    pub fn search_reference(&self, key: K) -> Option<u64> {
-        let h = self.tree.height();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.index.position(i, d);
-            let k = self.slots[p as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(p),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Binary descent that records accesses at **chunk granularity**:
-    /// whenever the path enters a new chunk, all of that chunk's slots
-    /// are pushed (a rank-of-key loads the whole chunk, so cache replay
-    /// must charge the whole chunk). Bit-identical in both result and
-    /// trace to [`kernel::fat_search_traced`].
-    pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        let h = self.tree.height();
-        let stride = self.index.stride();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        let mut last_chunk = u64::MAX;
-        loop {
-            let p = self.index.position(i, d);
-            let chunk = p / stride;
-            if chunk != last_chunk {
-                let base = chunk * stride;
-                for off in 0..stride {
-                    visited.push(base + off);
-                }
-                last_chunk = chunk;
-            }
-            let k = self.slots[p as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(p),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Searches an arbitrary-order probe batch on the interleaved fat
-    /// kernel — up to `width` rank-of-key descents in flight.
-    pub fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        kernel::fat_search_batch_interleaved(&self.plane(), keys, width, out);
-    }
-
-    /// Benchmark kernel: wrapping sum of found positions.
-    #[must_use]
-    pub fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        kernel::fat_batch_checksum(&self.plane(), keys, kernel::DEFAULT_LANES)
     }
 }
 
@@ -240,67 +155,33 @@ impl<K> std::fmt::Debug for FatHeapTree<K> {
     }
 }
 
-impl<K: Ord + Copy> SearchBackend<K> for FatHeapTree<K> {
-    fn height(&self) -> u32 {
-        self.tree.height()
-    }
+/// The kernels descend whole chunks through [`FatSlotPlane`]; the
+/// reference walk descends the same slots one binary node at a time
+/// over [`FatIndex::position`].
+impl<K: Ord + Copy> Planes for FatHeapTree<K> {
+    type Key = K;
 
-    fn key_count(&self) -> u64 {
-        self.tree.len()
-    }
-
-    fn search(&self, key: K) -> Option<u64> {
-        FatHeapTree::search(self, key)
-    }
-
-    fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        FatHeapTree::search_traced(self, key, visited)
-    }
-
-    fn key_at_rank(&self, rank: u64) -> Option<K> {
-        let p = SearchBackend::position_of_rank(self, rank)?;
-        Some(self.slots[p as usize])
-    }
-
-    fn position_of_rank(&self, rank: u64) -> Option<u64> {
-        (rank >= 1 && rank <= self.tree.len()).then(|| {
-            let node = self.tree.node_at_in_order(rank);
-            self.index.position(node, self.tree.depth(node))
+    #[inline]
+    fn fast_plane(
+        &self,
+    ) -> FastPlane<impl DescentPlane<Key = K> + '_, impl FatPlane<Key = K> + '_> {
+        // Always whole chunks: the binary arm is never built.
+        FastPlane::<ArrayPlane<'_, K>, _>::Fat(FatSlotPlane {
+            index: &self.index,
+            slots: &self.slots,
         })
     }
 
-    // Kernel-backed overrides, all bit-identical to the generic binary
-    // defaults (the per-chunk exit gap equals the number of binary
-    // turns through the chunk).
-
-    fn search_reference(&self, key: K) -> Option<u64> {
-        FatHeapTree::search_reference(self, key)
-    }
-
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        kernel::fat_search_traced(&self.plane(), key, visited)
-    }
-
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        FatHeapTree::search_batch_interleaved(self, keys, width, out);
-    }
-
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        FatHeapTree::search_batch_checksum(self, keys)
-    }
-
-    fn lower_bound_rank(&self, key: K) -> u64 {
-        kernel::fat_bound_rank::<_, false>(&self.plane(), key)
-    }
-
-    fn upper_bound_rank(&self, key: K) -> u64 {
-        kernel::fat_bound_rank::<_, true>(&self.plane(), key)
+    #[inline]
+    fn reference_plane(&self) -> impl DescentPlane<Key = K> + '_ {
+        ArrayPlane::new(&self.slots, PosRef::Index(&self.index), self.tree.height())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SearchBackend;
     use cobtree_core::fat::{FatLayout, FatOrder};
 
     fn tree_for(order: FatOrder, arity: u32, h: u32) -> FatHeapTree<u64> {

@@ -10,8 +10,7 @@
 //! executes all transitions and index computations with zero memory
 //! accesses.
 
-use crate::backend::SearchBackend;
-use crate::kernel::{self, ArrayPlane, PosRef};
+use crate::kernel::{ArrayPlane, DescentPlane, FastPlane, FatPlane, NoFatPlane, Planes, PosRef};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::index::{PositionIndex, StepPlan};
 use cobtree_core::Tree;
@@ -30,7 +29,7 @@ use cobtree_core::Tree;
 /// assert_eq!(tree.keys()[pos as usize], 640);
 ///
 /// // The key array *is* the layout order — which is why an
-/// // `ImplicitTree` serialized by `SearchTree::save` can be served
+/// // `ImplicitTree` serialized by `SearchTree::write_file` can be served
 /// // back byte-for-byte by the mapped backend (`SearchTree::open`).
 /// assert_eq!(tree.keys().len(), 127);
 /// assert_eq!(tree.key_count(), 127);
@@ -97,17 +96,6 @@ impl<K: Ord + Copy> ImplicitTree<K> {
         })
     }
 
-    /// The descent plane the kernels run on (compiled plan when
-    /// available, virtual indexer otherwise).
-    #[inline]
-    fn plane(&self) -> ArrayPlane<'_, K> {
-        let pos = match &self.plan {
-            Some(plan) => PosRef::Plan(plan),
-            None => PosRef::Index(self.index.as_ref()),
-        };
-        ArrayPlane::new(&self.keys, pos, self.tree.height())
-    }
-
     /// The compiled descent plan, when one exists.
     #[must_use]
     pub fn plan(&self) -> Option<&StepPlan> {
@@ -150,79 +138,6 @@ impl<K: Ord + Copy> ImplicitTree<K> {
     pub fn index(&self) -> &dyn PositionIndex {
         self.index.as_ref()
     }
-
-    /// Searches for `key`, computing one layout position per transition.
-    /// Returns the array position of the match.
-    ///
-    /// Runs on the compiled descent kernel (branch-free, prefetching,
-    /// zero virtual calls — see [`crate::kernel`]); results are
-    /// bit-identical to [`ImplicitTree::search_reference`].
-    #[inline]
-    pub fn search(&self, key: K) -> Option<u64> {
-        kernel::search(&self.plane(), key)
-    }
-
-    /// The pre-kernel descent — one virtual position call and one
-    /// three-way branch per level. Kept as the oracle the kernels are
-    /// verified against (and as the comparison baseline in
-    /// `BENCH_kernel.json`).
-    #[inline]
-    pub fn search_reference(&self, key: K) -> Option<u64> {
-        let h = self.tree.height();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.index.position(i, d);
-            let k = self.keys[p as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(p),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Searches an arbitrary-order probe batch on the interleaved
-    /// kernel: up to `width` (≤ [`kernel::MAX_LANES`]) descents in
-    /// flight, overlapping their memory latency. `out` is cleared and
-    /// filled with one entry per probe, in probe order — bit-identical
-    /// to mapping [`ImplicitTree::search`] over the batch.
-    pub fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        kernel::search_batch_interleaved(&self.plane(), keys, width, out);
-    }
-
-    /// Searches while recording each visited position.
-    pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        let h = self.tree.height();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.index.position(i, d);
-            visited.push(p);
-            let k = self.keys[p as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(p),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Benchmark kernel: sum of found positions. Dispatches to the
-    /// shared interleaved checksum kernel ([`kernel::batch_checksum`]);
-    /// the sum is identical to accumulating per-probe searches.
-    #[must_use]
-    pub fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        kernel::batch_checksum(&self.plane(), keys, kernel::DEFAULT_LANES)
-    }
 }
 
 impl<K> std::fmt::Debug for ImplicitTree<K> {
@@ -234,60 +149,30 @@ impl<K> std::fmt::Debug for ImplicitTree<K> {
     }
 }
 
-impl<K: Ord + Copy> SearchBackend<K> for ImplicitTree<K> {
-    fn height(&self) -> u32 {
-        self.tree.height()
+/// Keys in layout order; the kernels take positions from the compiled
+/// plan (the virtual indexer when there is none), the reference walk
+/// from the indexer.
+impl<K: Ord + Copy> Planes for ImplicitTree<K> {
+    type Key = K;
+
+    #[inline]
+    fn fast_plane(
+        &self,
+    ) -> FastPlane<impl DescentPlane<Key = K> + '_, impl FatPlane<Key = K> + '_> {
+        let pos = match &self.plan {
+            Some(plan) => PosRef::Plan(plan),
+            None => PosRef::Index(self.index.as_ref()),
+        };
+        FastPlane::<_, NoFatPlane<K>>::Binary(ArrayPlane::new(&self.keys, pos, self.tree.height()))
     }
 
-    fn key_count(&self) -> u64 {
-        self.keys.len() as u64
-    }
-
-    fn search(&self, key: K) -> Option<u64> {
-        ImplicitTree::search(self, key)
-    }
-
-    fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        ImplicitTree::search_traced(self, key, visited)
-    }
-
-    fn key_at_rank(&self, rank: u64) -> Option<K> {
-        let p = SearchBackend::position_of_rank(self, rank)?;
-        Some(self.keys[p as usize])
-    }
-
-    fn position_of_rank(&self, rank: u64) -> Option<u64> {
-        (rank >= 1 && rank <= self.tree.len()).then(|| {
-            let node = self.tree.node_at_in_order(rank);
-            self.index.position(node, self.tree.depth(node))
-        })
-    }
-
-    // Kernel-backed overrides: identical results, no per-level virtual
-    // dispatch (the generic defaults walk rank lookups per level).
-
-    fn search_reference(&self, key: K) -> Option<u64> {
-        ImplicitTree::search_reference(self, key)
-    }
-
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        kernel::search_traced(&self.plane(), key, visited)
-    }
-
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        ImplicitTree::search_batch_interleaved(self, keys, width, out);
-    }
-
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        ImplicitTree::search_batch_checksum(self, keys)
-    }
-
-    fn lower_bound_rank(&self, key: K) -> u64 {
-        kernel::bound_rank::<_, false>(&self.plane(), key)
-    }
-
-    fn upper_bound_rank(&self, key: K) -> u64 {
-        kernel::bound_rank::<_, true>(&self.plane(), key)
+    #[inline]
+    fn reference_plane(&self) -> impl DescentPlane<Key = K> + '_ {
+        ArrayPlane::new(
+            &self.keys,
+            PosRef::Index(self.index.as_ref()),
+            self.tree.height(),
+        )
     }
 }
 
@@ -343,6 +228,7 @@ impl<'a> IndexOnlySearcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SearchBackend;
     use crate::explicit::ExplicitTree;
     use cobtree_core::NamedLayout;
 

@@ -9,8 +9,7 @@
 //! When the keys really are `1..=n`, [`crate::IndexOnlySearcher`]
 //! remains the memory-access-free instrument the paper times.
 
-use crate::backend::SearchBackend;
-use crate::kernel::{self, PosRef, RankPlane};
+use crate::kernel::{DescentPlane, FastPlane, FatPlane, NoFatPlane, Planes, PosRef, RankPlane};
 use cobtree_core::error::{check_sorted_keys, Error, Result};
 use cobtree_core::index::{PositionIndex, StepPlan};
 use cobtree_core::Tree;
@@ -53,18 +52,6 @@ impl<K: Ord + Copy> IndexOnlyTree<K> {
         })
     }
 
-    /// The descent plane the kernels run on: comparisons read the
-    /// sorted key array by rank (no layout-ordered storage exists);
-    /// positions come from the compiled plan when one exists.
-    #[inline]
-    fn plane(&self) -> RankPlane<'_, K> {
-        let pos = match &self.plan {
-            Some(plan) => PosRef::Plan(plan),
-            None => PosRef::Index(self.index.as_ref()),
-        };
-        RankPlane::new(&self.keys, pos, self.tree.height())
-    }
-
     /// Builds the backend, panicking where [`IndexOnlyTree::try_build`]
     /// errors.
     ///
@@ -101,70 +88,6 @@ impl<K: Ord + Copy> IndexOnlyTree<K> {
     pub fn index(&self) -> &dyn PositionIndex {
         self.index.as_ref()
     }
-
-    /// Searches for `key`; returns the layout position of the matching
-    /// node (computed once, on the match — the kernel's hoisted-equality
-    /// descent preserves exactly this discipline).
-    #[inline]
-    pub fn search(&self, key: K) -> Option<u64> {
-        kernel::search(&self.plane(), key)
-    }
-
-    /// The pre-kernel descent, kept as the verification oracle.
-    #[inline]
-    pub fn search_reference(&self, key: K) -> Option<u64> {
-        let h = self.tree.height();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let k = self.keys[(self.tree.in_order_rank(i) - 1) as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(self.index.position(i, d)),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Searches while recording the layout position of every visited
-    /// node — here every transition pays the full index computation,
-    /// exactly the §IV-E cost model.
-    pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        let h = self.tree.height();
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.index.position(i, d);
-            visited.push(p);
-            let k = self.keys[(self.tree.in_order_rank(i) - 1) as usize];
-            match key.cmp(&k) {
-                std::cmp::Ordering::Equal => return Some(p),
-                std::cmp::Ordering::Less => i *= 2,
-                std::cmp::Ordering::Greater => i = 2 * i + 1,
-            }
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// Searches an arbitrary-order probe batch on the interleaved
-    /// kernel — see [`crate::kernel::fold_interleaved`].
-    pub fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        kernel::search_batch_interleaved(&self.plane(), keys, width, out);
-    }
-
-    /// Benchmark kernel: sum of found positions, via the shared
-    /// interleaved checksum kernel.
-    #[must_use]
-    pub fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        kernel::batch_checksum(&self.plane(), keys, kernel::DEFAULT_LANES)
-    }
 }
 
 impl<K> std::fmt::Debug for IndexOnlyTree<K> {
@@ -176,52 +99,39 @@ impl<K> std::fmt::Debug for IndexOnlyTree<K> {
     }
 }
 
-impl<K: Ord + Copy> SearchBackend<K> for IndexOnlyTree<K> {
-    fn height(&self) -> u32 {
-        self.tree.height()
+/// Comparisons read the sorted key array by rank (no layout-ordered
+/// storage exists); positions, needed only to report a match or record
+/// a trace, come from the compiled plan for the kernels (the virtual
+/// indexer when there is none) and from the indexer for the reference
+/// walk.
+impl<K: Ord + Copy> Planes for IndexOnlyTree<K> {
+    type Key = K;
+
+    #[inline]
+    fn fast_plane(
+        &self,
+    ) -> FastPlane<impl DescentPlane<Key = K> + '_, impl FatPlane<Key = K> + '_> {
+        let pos = match &self.plan {
+            Some(plan) => PosRef::Plan(plan),
+            None => PosRef::Index(self.index.as_ref()),
+        };
+        FastPlane::<_, NoFatPlane<K>>::Binary(RankPlane::new(&self.keys, pos, self.tree.height()))
     }
 
-    fn key_count(&self) -> u64 {
-        self.keys.len() as u64
-    }
-
-    fn search(&self, key: K) -> Option<u64> {
-        IndexOnlyTree::search(self, key)
-    }
-
-    fn search_reference(&self, key: K) -> Option<u64> {
-        IndexOnlyTree::search_reference(self, key)
-    }
-
-    fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        IndexOnlyTree::search_traced(self, key, visited)
-    }
-
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        kernel::search_traced(&self.plane(), key, visited)
-    }
-
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        IndexOnlyTree::search_batch_interleaved(self, keys, width, out);
-    }
-
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        IndexOnlyTree::search_batch_checksum(self, keys)
-    }
-
-    fn key_at_rank(&self, rank: u64) -> Option<K> {
-        // The key array *is* the in-order sequence.
-        (rank >= 1 && rank <= self.keys.len() as u64).then(|| self.keys[(rank - 1) as usize])
-    }
-
-    fn position_of_rank(&self, rank: u64) -> Option<u64> {
-        (rank >= 1 && rank <= self.tree.len()).then(|| self.index.position_of_in_order(rank))
+    #[inline]
+    fn reference_plane(&self) -> impl DescentPlane<Key = K> + '_ {
+        RankPlane::new(
+            &self.keys,
+            PosRef::Index(self.index.as_ref()),
+            self.tree.height(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SearchBackend;
     use crate::implicit::ImplicitTree;
     use cobtree_core::NamedLayout;
 

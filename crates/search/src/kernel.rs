@@ -1,26 +1,48 @@
-//! Compiled descent kernels: branch-free search loops over
-//! [`StepPlan`]s, with software prefetch and an interleaved multi-query
-//! variant.
+//! Descent kernels, and the one search surface every plane backend
+//! runs on.
 //!
-//! The slow descent paths (`search` loops written per backend in PR 1)
-//! pay, per level, one virtual `dyn PositionIndex::position` call plus a
-//! data-dependent three-way branch. The paper's layouts make per-depth
-//! position arithmetic statically predictable, which is exactly what a
-//! compiled kernel exploits (cf. Barratt & Zhang, *Cache-Friendly
-//! Search Trees*, 2019). This module provides the shared kernels; the
-//! backends dispatch into them:
+//! The paper's layouts differ only in where a node sits; the search is
+//! the same. This module makes that literal. A storage backend states
+//! its *planes* — the kernels' view of its key storage plus a position
+//! source — and one blanket impl implements the whole
+//! [`SearchBackend`] surface for it (point, traced, interleaved and
+//! checksum searches, bound ranks, and the rank primitives):
 //!
-//! * **Devirtualized positions** — [`PosRef`] resolves positions from a
-//!   compiled [`StepPlan`] (closed-form coefficients or a flat table),
-//!   from a raw little-endian `u32` region of a mapped file, or — for
-//!   the layouts that do not compile — from the original indexer.
+//! * the **fast plane** feeds the compiled kernels: a [`DescentPlane`]
+//!   for binary layouts or a [`FatPlane`] for fat-node layouts, with
+//!   positions from a compiled [`StepPlan`], a mapped file's `u32`
+//!   table, or — for the layouts that do not compile — the virtual
+//!   indexer;
+//! * the **reference plane** feeds [`reference_walk`], the one
+//!   three-way descent every plane backend's oracle runs: one node per
+//!   level, positions from the uncompiled [`PositionIndex`] or the
+//!   mapped table, so the oracle never depends on a [`StepPlan`]. With
+//!   a trace sink it is `search_traced`, the trace cache replay
+//!   consumes (chunk-granular on fat planes); without one it is
+//!   `search_reference`. The rank primitives (`key_at_rank`,
+//!   `position_of_rank`) read the reference plane too.
+//!
+//! The binary planes are [`ArrayPlane`] (keys in layout order, the
+//! implicit backend), [`RankPlane`] (keys in sorted order, the
+//! index-only backend) and [`MappedPlane`] (raw bytes of a mapped
+//! file); the fat planes live with their backends (typed heap slots,
+//! mapped bytes). The explicit (pointer-based) backend has no position
+//! computation to devirtualize: it implements [`SearchBackend`] itself,
+//! with pointer kernels ([`explicit_search`],
+//! [`explicit_fold_interleaved`]) and one pointer walk of its own.
+//!
+//! What the kernels do (cf. Barratt & Zhang, *Cache-Friendly Search
+//! Trees*, 2019):
+//!
+//! * **Devirtualized positions** — [`PosRef`] resolves positions with
+//!   one perfectly predicted enum dispatch instead of a virtual call
+//!   per level.
 //! * **Branch-free descent** — the three-way compare is replaced by
 //!   `i = 2i + (probe > key)`, with the `Equal` case hoisted out of the
 //!   loop entirely: the kernel tracks the most recent slot whose key
 //!   was `>= probe` (a conditional move, not a branch) and performs a
-//!   single equality check after the loop. Results are **bit-identical**
-//!   to the slow paths, which remain in the backends as the oracle
-//!   (`search_reference`).
+//!   single equality check after the loop. Results are
+//!   **bit-identical** to [`reference_walk`].
 //! * **Chained key locators + software prefetch** — each level's key
 //!   *locator* (the storage coordinate of the key load — layout
 //!   position for layout-ordered storage, in-order rank for the
@@ -37,27 +59,23 @@
 //!   (memory-level parallelism); each lane prefetches its *exact* next
 //!   slot as soon as its branch-free step resolves it — which costs no
 //!   extra position arithmetic at all, so it is on for every plan.
-//!
-//! Three key-storage disciplines are covered by [`DescentPlane`]
-//! implementations: layout-ordered key arrays ([`ArrayPlane`], the
-//! implicit backend), rank-ordered key arrays ([`RankPlane`], the
-//! index-only backend) and raw mapped file bytes ([`MappedPlane`]).
-//! The explicit (pointer-based) backend has no position computation to
-//! devirtualize; it gets dedicated pointer kernels
-//! ([`explicit_search`], [`explicit_fold_interleaved`]) that apply the
-//! same branch-free + prefetch + interleaving treatment to child-pointer
-//! chasing.
+//! * **Fat-node descent** — one rank-of-key per chunk replaces `span`
+//!   binary compares ([`fat_search`]); over raw key bytes the rank is
+//!   an AVX2 compare+movemask where available ([`byte_rank_in_chunk`]).
 
+use crate::backend::SearchBackend;
 use crate::explicit::Node;
 use cobtree_core::fat::FatIndex;
 use cobtree_core::format::FixedKey;
 use cobtree_core::index::{PositionIndex, StepPlan};
+use std::cmp::Ordering;
+use std::convert::Infallible;
+use std::marker::PhantomData;
 
 /// Maximum interleave width (lanes held in flight by the batch kernel).
 pub const MAX_LANES: usize = 16;
 
-/// Default interleave width used by the `search_batch_checksum` /
-/// `search_batch_interleaved` entry points when callers do not pick one.
+/// Default interleave width used by `search_batch_checksum`.
 /// Eight lanes saturate the load buffers of common cores without
 /// spilling the lane state out of registers.
 pub const DEFAULT_LANES: usize = 8;
@@ -86,17 +104,17 @@ pub(crate) fn prefetch_read<T>(ptr: *const T) {
 // Position sources
 // ---------------------------------------------------------------------------
 
-/// Where a kernel reads layout positions from. One enum dispatch per
-/// position — a perfectly predicted branch, in place of the slow path's
-/// virtual call (kept as [`PosRef::Index`] for the layouts that do not
-/// compile).
+/// Where a plane reads layout positions from. One enum dispatch per
+/// position — a perfectly predicted branch, in place of a virtual call
+/// ([`PosRef::Index`] keeps one, for reference planes and the layouts
+/// that do not compile).
 pub enum PosRef<'a> {
     /// A compiled per-layout plan.
     Plan(&'a StepPlan),
     /// Little-endian `u32` position table bytes, indexed by `node − 1`
     /// — the mapped backend's index region, read in place.
     Raw32(&'a [u8]),
-    /// Uncompiled fallback: the original virtual indexer.
+    /// The uncompiled virtual indexer.
     Index(&'a dyn PositionIndex),
 }
 
@@ -133,7 +151,7 @@ impl PosRef<'_> {
 // Descent planes: position source + key storage discipline
 // ---------------------------------------------------------------------------
 
-/// What a descent kernel needs from a backend. The central concept is
+/// What a binary descent needs from a backend. The central concept is
 /// the **key locator**: the storage coordinate a key load uses — the
 /// layout position for layout-ordered storage ([`ArrayPlane`],
 /// [`MappedPlane`]), the 0-based in-order rank for rank-ordered storage
@@ -147,6 +165,14 @@ pub trait DescentPlane {
 
     /// Height of the complete tree.
     fn height(&self) -> u32;
+
+    /// Number of stored keys: in-order ranks `1..=key_count` are real,
+    /// the rest are padding. Planes whose padding is encoded in the key
+    /// ordering store every slot.
+    #[inline]
+    fn key_count(&self) -> u64 {
+        (1u64 << self.height()) - 1
+    }
 
     /// Key locator of BFS `node` at `depth`.
     fn locate(&self, node: u64, depth: u32) -> u64;
@@ -267,10 +293,20 @@ fn in_order_rank(height: u32, node: u64) -> u64 {
     (node - (1u64 << d)) * span + span / 2
 }
 
+/// `(node, depth)` of the node with 1-based in-order `rank` in a
+/// height-`h` tree — the inverse of [`in_order_rank`]
+/// (`Tree::node_at_in_order`).
+#[inline]
+fn node_at_in_order(height: u32, rank: u64) -> (u64, u32) {
+    let t = rank.trailing_zeros();
+    let d = height - 1 - t;
+    ((1u64 << d) + (rank >> (t + 1)), d)
+}
+
 /// Keys stored in sorted (in-order-rank) order — the index-only
 /// backend. The locator is the 0-based rank, so comparisons never touch
 /// positions; the position source is consulted only to *report*
-/// results, preserving the slow path's cost discipline exactly.
+/// results, preserving the reference walk's cost discipline exactly.
 pub struct RankPlane<'a, K> {
     keys: &'a [K],
     pos: PosRef<'a>,
@@ -310,12 +346,9 @@ impl<K: Copy + Ord> DescentPlane for RankPlane<'_, K> {
 
     #[inline]
     fn result_position(&self, loc: u64) -> u64 {
-        // Invert the rank locator (`Tree::node_at_in_order`), then pay
-        // the one position computation the slow path pays on a match.
-        let rank = loc + 1;
-        let t = rank.trailing_zeros();
-        let d = self.height - 1 - t;
-        let node = (1u64 << d) + (rank >> (t + 1));
+        // Invert the rank locator, then pay the one position
+        // computation the reference walk pays on a match.
+        let (node, d) = node_at_in_order(self.height, loc + 1);
         self.pos.at(node, d)
     }
 
@@ -334,7 +367,7 @@ impl<K: Copy + Ord> DescentPlane for RankPlane<'_, K> {
 
 /// Keys read from the raw bytes of a mapped tree file. Padding is
 /// detected arithmetically (in-order rank beyond the stored key count),
-/// exactly as the mapped slow path does — padding slots' bytes are
+/// exactly as the reference walk does — padding slots' bytes are
 /// loadable (the writer zeroes them) but never influence the descent.
 pub struct MappedPlane<'a, K> {
     key_bytes: &'a [u8],
@@ -379,6 +412,11 @@ impl<K: FixedKey> DescentPlane for MappedPlane<'_, K> {
     }
 
     #[inline]
+    fn key_count(&self) -> u64 {
+        self.stored
+    }
+
+    #[inline]
     fn is_real(&self, node: u64) -> bool {
         in_order_rank(self.height, node) <= self.stored
     }
@@ -417,8 +455,8 @@ impl<K: FixedKey> DescentPlane for MappedPlane<'_, K> {
 /// Branch-free point search: descends all `h` levels with
 /// `i = 2i + (probe > key)`, tracking the locator of the last slot
 /// whose key was `>= probe` with conditional moves, and resolves
-/// equality once after the loop. Returns exactly what the backend's
-/// slow `search` returns.
+/// equality once after the loop. Returns exactly what
+/// [`reference_walk`] returns.
 #[inline]
 pub fn search<P: DescentPlane>(plane: &P, probe: P::Key) -> Option<u64> {
     let h = plane.height();
@@ -455,11 +493,11 @@ pub fn search<P: DescentPlane>(plane: &P, probe: P::Key) -> Option<u64> {
     (cand_loc != NO_CAND && cand_key == probe).then(|| plane.result_position(cand_loc))
 }
 
-/// [`search`], recording the layout position of every node the *slow
-/// path* would visit: the full root path for misses, the root-to-match
-/// prefix for hits (the branch-free descent continues past the match;
-/// the overshoot is truncated so traces stay bit-identical to
-/// `search_traced`).
+/// [`search`], recording the layout position of every node
+/// [`reference_walk`] would visit: the full root path for misses, the
+/// root-to-match prefix for hits (the branch-free descent continues
+/// past the match; the overshoot is truncated so traces stay
+/// bit-identical).
 pub fn search_traced<P: DescentPlane>(
     plane: &P,
     probe: P::Key,
@@ -496,6 +534,49 @@ pub fn search_traced<P: DescentPlane>(
     } else {
         None
     }
+}
+
+/// The reference descent: one node per level and a three-way compare
+/// that stops at the match; padding slots compare as `+∞` and their
+/// keys are never loaded. Every plane backend's `search_reference`
+/// (with no trace) and `search_traced` run it over the backend's
+/// reference plane, and every kernel is bit-identical to it.
+///
+/// With `trace = Some((visited, stride))`, each visited node's layout
+/// position is recorded at `stride`-slot chunk granularity: entering a
+/// new chunk pushes all its slots (a fat rank-of-key loads the whole
+/// chunk, so cache replay must charge all of it). Stride 1 records
+/// exactly the visited nodes.
+pub fn reference_walk<P: DescentPlane>(
+    plane: &P,
+    probe: P::Key,
+    mut trace: Option<(&mut Vec<u64>, u64)>,
+) -> Option<u64> {
+    let mut last_chunk = u64::MAX;
+    let mut i = 1u64;
+    for d in 0..plane.height() {
+        let loc = plane.locate(i, d);
+        if let Some((visited, stride)) = trace.as_mut() {
+            let pos = if plane.locator_is_position() {
+                loc
+            } else {
+                plane.position(i, d)
+            };
+            let chunk = pos / *stride;
+            if chunk != last_chunk {
+                last_chunk = chunk;
+                visited.extend(chunk * *stride..(chunk + 1) * *stride);
+            }
+        }
+        let go_right = plane.is_real(i)
+            && match probe.cmp(&plane.key_at(loc)) {
+                Ordering::Equal => return Some(plane.result_position(loc)),
+                Ordering::Less => false,
+                Ordering::Greater => true,
+            };
+        i = (i << 1) | u64::from(go_right);
+    }
+    None
 }
 
 /// Branch-free bound-rank descent: the 1-based in-order rank of the
@@ -586,31 +667,25 @@ pub fn fold_interleaved<P: DescentPlane>(
     }
 }
 
-/// [`fold_interleaved`] collecting results (input order) into `out`.
-pub fn search_batch_interleaved<P: DescentPlane>(
-    plane: &P,
-    probes: &[P::Key],
-    width: usize,
+/// An interleaved fold's `emit` that stores each result at its probe
+/// index: `out` is cleared and sized to `probes` entries up front.
+pub(crate) fn collect_into(
     out: &mut Vec<Option<u64>>,
-) {
+    probes: usize,
+) -> impl FnMut(usize, Option<u64>) + '_ {
     out.clear();
-    out.resize(probes.len(), None);
-    fold_interleaved(plane, probes, width, |idx, r| out[idx] = r);
+    out.resize(probes, None);
+    move |idx, r| out[idx] = r
 }
 
-/// [`fold_interleaved`] folding the wrapping sum of found positions —
-/// the shared benchmark-checksum kernel every backend's
-/// `search_batch_checksum` dispatches to (identical to summing the slow
-/// path's results, since per-probe results are bit-identical).
-#[must_use]
-pub fn batch_checksum<P: DescentPlane>(plane: &P, probes: &[P::Key], width: usize) -> u64 {
-    let mut acc = 0u64;
-    fold_interleaved(plane, probes, width, |_, r| {
+/// An interleaved fold's `emit` that adds every found position into
+/// `acc` (wrapping) — the benchmark checksum.
+pub(crate) fn sum_into(acc: &mut u64) -> impl FnMut(usize, Option<u64>) + '_ {
+    move |_, r| {
         if let Some(p) = r {
-            acc = acc.wrapping_add(p);
+            *acc = acc.wrapping_add(p);
         }
-    });
-    acc
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -652,8 +727,8 @@ pub fn explicit_search<K: Copy + Ord>(
     (cand_pos != u32::MAX && cand_key == probe).then(|| u64::from(cand_pos))
 }
 
-/// [`explicit_search`] with slow-path-identical traces (full path for
-/// misses, truncated at the match for hits).
+/// [`explicit_search`] with traces identical to the pointer walk's
+/// (full path for misses, truncated at the match for hits).
 pub fn explicit_search_traced<K: Copy + Ord>(
     nodes: &[Node<K>],
     root: u32,
@@ -731,26 +806,6 @@ pub fn explicit_fold_interleaved<K: Copy + Ord>(
     }
 }
 
-/// [`explicit_fold_interleaved`] folding the wrapping sum of found
-/// positions — the explicit backend's arm of the shared
-/// `search_batch_checksum` kernel.
-#[must_use]
-pub fn explicit_batch_checksum<K: Copy + Ord>(
-    nodes: &[Node<K>],
-    root: u32,
-    height: u32,
-    probes: &[K],
-    width: usize,
-) -> u64 {
-    let mut acc = 0u64;
-    explicit_fold_interleaved(nodes, root, height, probes, width, |_, r| {
-        if let Some(p) = r {
-            acc = acc.wrapping_add(p);
-        }
-    });
-    acc
-}
-
 // ---------------------------------------------------------------------------
 // Fat-node (B-ary) kernels
 // ---------------------------------------------------------------------------
@@ -799,8 +854,8 @@ pub trait FatPlane {
 /// Fat point search: one rank-of-key per fat level. The exit gap `r`
 /// (count of live keys `< probe`) *is* the child chunk selector:
 /// `t' = t·2^span + r`. Returns the layout slot position of the node
-/// holding `probe` — identical to the binary slow descent over the same
-/// fat positions.
+/// holding `probe` — identical to [`reference_walk`] over the same fat
+/// positions.
 #[inline]
 pub fn fat_search<P: FatPlane>(plane: &P, probe: P::Key) -> Option<u64> {
     let ix = plane.fat_index();
@@ -921,29 +976,176 @@ pub fn fat_fold_interleaved<P: FatPlane>(
     }
 }
 
-/// [`fat_fold_interleaved`] collecting results (input order) into `out`.
-pub fn fat_search_batch_interleaved<P: FatPlane>(
-    plane: &P,
-    probes: &[P::Key],
-    width: usize,
-    out: &mut Vec<Option<u64>>,
-) {
-    out.clear();
-    out.resize(probes.len(), None);
-    fat_fold_interleaved(plane, probes, width, |idx, r| out[idx] = r);
+// ---------------------------------------------------------------------------
+// One search surface for every plane backend
+// ---------------------------------------------------------------------------
+
+impl<B: DescentPlane, F: FatPlane<Key = B::Key>> FastPlane<B, F> {
+    #[inline]
+    fn search(&self, probe: B::Key) -> Option<u64> {
+        match self {
+            Self::Binary(p) => search(p, probe),
+            Self::Fat(p) => fat_search(p, probe),
+        }
+    }
+
+    fn search_traced(&self, probe: B::Key, visited: &mut Vec<u64>) -> Option<u64> {
+        match self {
+            Self::Binary(p) => search_traced(p, probe, visited),
+            Self::Fat(p) => fat_search_traced(p, probe, visited),
+        }
+    }
+
+    #[inline]
+    fn fold_interleaved(
+        &self,
+        probes: &[B::Key],
+        width: usize,
+        emit: impl FnMut(usize, Option<u64>),
+    ) {
+        match self {
+            Self::Binary(p) => fold_interleaved(p, probes, width, emit),
+            Self::Fat(p) => fat_fold_interleaved(p, probes, width, emit),
+        }
+    }
+
+    #[inline]
+    fn bound_rank<const UPPER: bool>(&self, probe: B::Key) -> u64 {
+        match self {
+            Self::Binary(p) => bound_rank::<_, UPPER>(p, probe),
+            Self::Fat(p) => fat_bound_rank::<_, UPPER>(p, probe),
+        }
+    }
+
+    /// Trace granularity of [`reference_walk`] for this plane: whole
+    /// chunks on fat planes, single nodes otherwise.
+    fn trace_stride(&self) -> u64 {
+        match self {
+            Self::Binary(_) => 1,
+            Self::Fat(p) => p.fat_index().stride(),
+        }
+    }
 }
 
-/// [`fat_fold_interleaved`] folding the wrapping sum of found positions
-/// — the fat backends' arm of `search_batch_checksum`.
-#[must_use]
-pub fn fat_batch_checksum<P: FatPlane>(plane: &P, probes: &[P::Key], width: usize) -> u64 {
-    let mut acc = 0u64;
-    fat_fold_interleaved(plane, probes, width, |_, r| {
-        if let Some(p) = r {
-            acc = acc.wrapping_add(p);
-        }
-    });
-    acc
+/// The fat arm of a backend that serves binary layouts only. It has no
+/// values, so its match arms compile away.
+pub(crate) struct NoFatPlane<K>(Infallible, PhantomData<fn() -> K>);
+
+impl<K: Copy + Ord> FatPlane for NoFatPlane<K> {
+    type Key = K;
+
+    fn fat_index(&self) -> &FatIndex {
+        match self.0 {}
+    }
+
+    fn live_count(&self, _: u32, _: u64) -> u32 {
+        match self.0 {}
+    }
+
+    fn rank_in_chunk(&self, _: u64, _: u32, _: K, _: bool) -> (u32, Option<u32>) {
+        match self.0 {}
+    }
+}
+
+mod planes {
+    use super::{DescentPlane, FatPlane};
+
+    /// A backend's fast plane: binary descent, or rank-of-key descent
+    /// over fat-node chunks. Its methods are the one place that picks
+    /// the kernel for each operation.
+    pub enum FastPlane<B, F> {
+        Binary(B),
+        Fat(F),
+    }
+
+    /// How a storage backend hands the kernels its planes. Implementing
+    /// it is all a plane backend does: [`crate::SearchBackend`] follows
+    /// from the blanket impl next to it.
+    pub trait Planes {
+        /// Key type the planes compare.
+        type Key: Copy + Ord;
+
+        /// The plane the kernels run on.
+        fn fast_plane(
+            &self,
+        ) -> FastPlane<impl DescentPlane<Key = Self::Key> + '_, impl FatPlane<Key = Self::Key> + '_>;
+
+        /// The plane the reference walk and the rank primitives read:
+        /// positions from the uncompiled indexer or the mapped table.
+        fn reference_plane(&self) -> impl DescentPlane<Key = Self::Key> + '_;
+    }
+}
+
+pub(crate) use planes::{FastPlane, Planes};
+
+impl<T: Planes> SearchBackend<T::Key> for T {
+    #[inline]
+    fn height(&self) -> u32 {
+        self.reference_plane().height()
+    }
+
+    #[inline]
+    fn key_count(&self) -> u64 {
+        self.reference_plane().key_count()
+    }
+
+    #[inline]
+    fn search(&self, key: T::Key) -> Option<u64> {
+        self.fast_plane().search(key)
+    }
+
+    fn search_traced(&self, key: T::Key, visited: &mut Vec<u64>) -> Option<u64> {
+        let stride = self.fast_plane().trace_stride();
+        reference_walk(&self.reference_plane(), key, Some((visited, stride)))
+    }
+
+    #[inline]
+    fn key_at_rank(&self, rank: u64) -> Option<T::Key> {
+        let plane = self.reference_plane();
+        (1..=plane.key_count()).contains(&rank).then(|| {
+            let (node, depth) = node_at_in_order(plane.height(), rank);
+            plane.key_at(plane.locate(node, depth))
+        })
+    }
+
+    #[inline]
+    fn position_of_rank(&self, rank: u64) -> Option<u64> {
+        let plane = self.reference_plane();
+        (1..1u64 << plane.height()).contains(&rank).then(|| {
+            let (node, depth) = node_at_in_order(plane.height(), rank);
+            plane.position(node, depth)
+        })
+    }
+
+    fn search_reference(&self, key: T::Key) -> Option<u64> {
+        reference_walk(&self.reference_plane(), key, None)
+    }
+
+    fn search_traced_kernel(&self, key: T::Key, visited: &mut Vec<u64>) -> Option<u64> {
+        self.fast_plane().search_traced(key, visited)
+    }
+
+    fn search_batch_interleaved(&self, keys: &[T::Key], width: usize, out: &mut Vec<Option<u64>>) {
+        self.fast_plane()
+            .fold_interleaved(keys, width, collect_into(out, keys.len()));
+    }
+
+    fn search_batch_checksum(&self, keys: &[T::Key]) -> u64 {
+        let mut acc = 0u64;
+        self.fast_plane()
+            .fold_interleaved(keys, DEFAULT_LANES, sum_into(&mut acc));
+        acc
+    }
+
+    #[inline]
+    fn lower_bound_rank(&self, key: T::Key) -> u64 {
+        self.fast_plane().bound_rank::<false>(key)
+    }
+
+    #[inline]
+    fn upper_bound_rank(&self, key: T::Key) -> u64 {
+        self.fast_plane().bound_rank::<true>(key)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1212,17 +1414,16 @@ mod tests {
         let plane = ArrayPlane::new(&keys, PosRef::Plan(&plan), h);
         let probes: Vec<u64> = (0..200u64).collect();
         let scalar: Vec<Option<u64>> = probes.iter().map(|&p| search(&plane, p)).collect();
+        let mut out = Vec::new();
         for width in [1usize, 2, 3, 5, 8, 16, 64] {
-            let mut out = Vec::new();
-            search_batch_interleaved(&plane, &probes, width, &mut out);
+            fold_interleaved(&plane, &probes, width, collect_into(&mut out, probes.len()));
             assert_eq!(out, scalar, "width {width}");
         }
         // Batch shorter than the width.
-        let mut out = Vec::new();
-        search_batch_interleaved(&plane, &probes[..3], 16, &mut out);
+        fold_interleaved(&plane, &probes[..3], 16, collect_into(&mut out, 3));
         assert_eq!(out, scalar[..3]);
         // Empty batch.
-        search_batch_interleaved(&plane, &[], 8, &mut out);
+        fold_interleaved(&plane, &[], 8, collect_into(&mut out, 0));
         assert!(out.is_empty());
     }
 
@@ -1236,8 +1437,11 @@ mod tests {
             .iter()
             .filter_map(|&p| search(&plane, p))
             .fold(0u64, u64::wrapping_add);
-        assert_eq!(batch_checksum(&plane, &probes, DEFAULT_LANES), expect);
-        assert_eq!(batch_checksum(&plane, &probes, 1), expect);
+        for width in [1, DEFAULT_LANES] {
+            let mut acc = 0u64;
+            fold_interleaved(&plane, &probes, width, sum_into(&mut acc));
+            assert_eq!(acc, expect, "width {width}");
+        }
     }
 
     #[test]

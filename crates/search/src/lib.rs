@@ -28,16 +28,18 @@
 //! * [`index_only`] — keys in plain sorted order, layout positions
 //!   computed on demand (the §IV-E discipline generalized to arbitrary
 //!   keys);
-//! * [`kernel`] — the *compiled descent kernels* every backend's hot
-//!   path dispatches into: devirtualized per-layout
+//! * [`kernel`] — the *compiled descent kernels* and the one blanket impl
+//!   that implements [`SearchBackend`] for every backend stating its
+//!   planes: devirtualized per-layout
 //!   [`cobtree_core::index::StepPlan`]s, branch-free descent with the
 //!   equality check hoisted out of the loop, software prefetch of both
-//!   candidate children, and an interleaved multi-query kernel that
-//!   keeps up to 16 lookups in flight (the original per-level loops
-//!   remain as `search_reference`, the verification oracle);
+//!   candidate children, an interleaved multi-query kernel that keeps
+//!   up to 16 lookups in flight, and the one three-way reference walk
+//!   (`search_reference` / `search_traced`) the kernels are verified
+//!   against;
 //! * [`mapped`] — the *serving* backend: [`mapped::MappedTree`] answers
 //!   the full ordered surface zero-copy from the bytes of a saved tree
-//!   file (`SearchTree::save`/`open`, format spec in `docs/FORMAT.md`),
+//!   file (`SearchTree::write_file`/`open`, format spec in `docs/FORMAT.md`),
 //!   memory-mapped so the byte order on storage *is* the layout order;
 //! * [`adaptive`] — the *adaptive serving engine*:
 //!   [`adaptive::AdaptiveForest`] wraps a forest behind an atomically
@@ -51,20 +53,17 @@
 //!   stitched cursors/ranges, split-and-dispatch sorted batches), fans
 //!   reads out over scoped threads (`par_search_batch`/`par_range`),
 //!   and saves/opens as one `.cobt` file per shard plus a manifest;
-//! * [`stepping`] — the incremental [`stepping::SteppingTree`] descent
-//!   optimization this reproduction adds on top of the paper;
 //! * [`tiered`] — the *write path*: [`TieredForest`] layers an
 //!   LSM-style memtable (sorted inserts + tombstones) over an immutable
 //!   `Forest` base, keeps the full ordered surface rank-correct across
 //!   tiers, and compacts in the background into fresh `.cobt` shards
 //!   published by atomic epoch-versioned manifest swap;
-//! * [`map`] — [`LayoutMap`], a minimal dynamic ordered-set facade over
-//!   a single-shard in-memory [`TieredForest`];
 //! * [`workload`] — reproducible workloads: uniform random keys (the
 //!   paper's 10 M random searches), the §II-A affinity-graph random walk,
 //!   and skewed variants for extensions;
 //! * [`trace`] — position/address trace collection for the cache
-//!   simulator, from bare indexers or whole backends.
+//!   simulator from bare indexers (whole backends trace through
+//!   [`SearchBackend::search_traced`]).
 
 pub mod adaptive;
 pub mod backend;
@@ -76,10 +75,8 @@ pub mod forest;
 pub mod implicit;
 pub mod index_only;
 pub mod kernel;
-pub mod map;
 pub mod mapped;
 pub(crate) mod slot;
-pub mod stepping;
 pub mod tiered;
 pub mod trace;
 pub mod workload;
@@ -98,9 +95,7 @@ pub use forest::{
 };
 pub use implicit::{ImplicitTree, IndexOnlySearcher};
 pub use index_only::IndexOnlyTree;
-pub use map::LayoutMap;
 pub use mapped::MappedTree;
-pub use stepping::SteppingTree;
 pub use tiered::{
     TierPlace, TieredBuilder, TieredConfig, TieredCursor, TieredForest, TieredHit, TieredRange,
     TieredSnapshot,

@@ -1,4 +1,4 @@
-//! The mapped storage backend: a [`SearchBackend`] served directly from
+//! The mapped storage backend: a [`crate::SearchBackend`] served directly from
 //! the bytes of a saved tree file — zero deserialization.
 //!
 //! This is the serving model the paper's layouts exist for: a
@@ -17,7 +17,7 @@
 //!   the stored key count compares as `+∞`), so the file needs no
 //!   sentinel values.
 //!
-//! Because the backend implements the full [`SearchBackend`] contract,
+//! Because the backend implements the full [`crate::SearchBackend`] contract,
 //! every cursor, range scan, rank/select query and sorted-batch search
 //! from the ordered-map API works over a file verbatim — and visits
 //! exactly the positions the in-memory backends visit, so cache-replay
@@ -28,13 +28,12 @@
 //! ([`MappedTree::read`] / [`MappedTree::from_bytes`]); validation and
 //! navigation are oblivious to which.
 
-use crate::backend::SearchBackend;
-use crate::kernel::{self, FatPlane, MappedPlane, PosRef};
+use crate::kernel::{self, DescentPlane, FastPlane, FatPlane, MappedPlane, Planes, PosRef};
 use cobtree_core::error::{Error, Result};
 use cobtree_core::fat::{FatIndex, FatLayout};
 use cobtree_core::format::{self, FixedKey, Geometry};
 use cobtree_core::index::{PositionIndex, StepPlan};
-use cobtree_core::{NamedLayout, Tree};
+use cobtree_core::NamedLayout;
 use std::marker::PhantomData;
 use std::path::Path;
 
@@ -81,7 +80,6 @@ impl Region {
 pub struct MappedTree<K> {
     region: Region,
     geometry: Geometry,
-    tree: Tree,
     /// `Some` for named-layout files (arithmetic positions); `None` for
     /// table files (positions read from the mapped index region).
     arithmetic: Option<Box<dyn PositionIndex>>,
@@ -194,7 +192,6 @@ impl<K: FixedKey> MappedTree<K> {
     fn from_region(region: Region) -> Result<Self> {
         let geometry = format::parse(region.bytes())?;
         format::expect_key_type::<K>(&geometry)?;
-        let tree = Tree::try_new(geometry.height)?;
         let label = geometry.descriptor_str(region.bytes()).to_string();
         let (arithmetic, named, fat_index) = if geometry.arity > 0 {
             // `parse` already cross-checked the label against the
@@ -222,7 +219,6 @@ impl<K: FixedKey> MappedTree<K> {
         Ok(Self {
             region,
             geometry,
-            tree,
             arithmetic,
             named,
             fat_index,
@@ -230,50 +226,6 @@ impl<K: FixedKey> MappedTree<K> {
             label,
             _keys: PhantomData,
         })
-    }
-
-    /// The descent plane the kernels run on: keys straight from the
-    /// mapped key region, positions from the compiled plan (named
-    /// layouts), the mapped `u32` index region (table files), or the
-    /// virtual indexer (named layouts that do not compile).
-    #[inline]
-    fn plane(&self) -> MappedPlane<'_, K> {
-        let file = self.region.bytes();
-        let pos = match (&self.plan, &self.arithmetic) {
-            (Some(plan), _) => PosRef::Plan(plan),
-            (None, Some(ix)) => PosRef::Index(ix.as_ref()),
-            (None, None) => {
-                let (off, len) = self.geometry.index;
-                PosRef::Raw32(&file[off..off + len])
-            }
-        };
-        let (koff, klen) = self.geometry.keys;
-        MappedPlane::new(
-            &file[koff..koff + klen],
-            pos,
-            self.geometry.height,
-            self.geometry.key_count,
-        )
-    }
-
-    /// The fat descent plane, when the file stores a fat-node layout.
-    #[inline]
-    fn fat_plane(&self) -> Option<FatBytesPlane<'_, K>> {
-        self.fat_index.as_ref().map(|index| {
-            let (koff, klen) = self.geometry.keys;
-            FatBytesPlane {
-                index,
-                bytes: &self.region.bytes()[koff..koff + klen],
-                key_count: self.geometry.key_count,
-                _keys: PhantomData,
-            }
-        })
-    }
-
-    /// Tree height `h` of the (padded) complete tree.
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        self.geometry.height
     }
 
     /// Number of stored (real) keys.
@@ -317,113 +269,6 @@ impl<K: FixedKey> MappedTree<K> {
     pub fn block_bytes(&self) -> u64 {
         self.geometry.block_bytes
     }
-
-    /// Layout position of BFS `node` at `depth` — arithmetic for named
-    /// and fat layouts, one mapped `u32` read for table files.
-    #[inline]
-    fn position(&self, node: u64, depth: u32) -> u64 {
-        if let Some(fi) = &self.fat_index {
-            return fi.position(node, depth);
-        }
-        match &self.arithmetic {
-            Some(index) => index.position(node, depth),
-            None => self.geometry.table_position(self.region.bytes(), node),
-        }
-    }
-
-    /// Key stored at layout position `pos` (must not be a padding slot).
-    #[inline]
-    fn key_at_position(&self, pos: u64) -> K {
-        self.geometry.key_at_position::<K>(self.region.bytes(), pos)
-    }
-
-    /// Searches for `key`, reading one mapped key per visited node (one
-    /// mapped chunk per fat level for fat files); returns the layout
-    /// position of the match.
-    ///
-    /// Runs on the compiled descent kernel (the rank-of-key fat kernel
-    /// for fat files); bit-identical to
-    /// [`MappedTree::search_reference`].
-    #[inline]
-    #[must_use]
-    pub fn search(&self, key: K) -> Option<u64> {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_search(&p, key),
-            None => kernel::search(&self.plane(), key),
-        }
-    }
-
-    /// The pre-kernel descent, kept as the verification oracle.
-    #[inline]
-    #[must_use]
-    pub fn search_reference(&self, key: K) -> Option<u64> {
-        let h = self.tree.height();
-        let n = self.geometry.key_count;
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.position(i, d);
-            // Padding slots (rank beyond the stored keys) compare as
-            // +∞: descend left without touching the key bytes.
-            let go_right = if self.tree.in_order_rank(i) > n {
-                false
-            } else {
-                match key.cmp(&self.key_at_position(p)) {
-                    std::cmp::Ordering::Equal => return Some(p),
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                }
-            };
-            i = (i << 1) | u64::from(go_right);
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
-
-    /// [`MappedTree::search`], recording every visited layout position.
-    /// Fat files record at **chunk granularity** (all slots of each
-    /// entered chunk — a rank-of-key loads the whole chunk), matching
-    /// the heap fat backend's traces slot for slot.
-    pub fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        let h = self.tree.height();
-        let n = self.geometry.key_count;
-        let stride = self.fat_index.as_ref().map(FatIndex::stride);
-        let mut last_chunk = u64::MAX;
-        let mut i = 1u64;
-        let mut d = 0u32;
-        loop {
-            let p = self.position(i, d);
-            match stride {
-                None => visited.push(p),
-                Some(s) => {
-                    let chunk = p / s;
-                    if chunk != last_chunk {
-                        let base = chunk * s;
-                        for off in 0..s {
-                            visited.push(base + off);
-                        }
-                        last_chunk = chunk;
-                    }
-                }
-            }
-            let go_right = if self.tree.in_order_rank(i) > n {
-                false
-            } else {
-                match key.cmp(&self.key_at_position(p)) {
-                    std::cmp::Ordering::Equal => return Some(p),
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                }
-            };
-            i = (i << 1) | u64::from(go_right);
-            d += 1;
-            if d >= h {
-                return None;
-            }
-        }
-    }
 }
 
 impl<K> MappedTree<K> {
@@ -449,74 +294,69 @@ impl<K> MappedTree<K> {
     }
 }
 
-impl<K: FixedKey> SearchBackend<K> for MappedTree<K> {
-    fn height(&self) -> u32 {
-        self.geometry.height
+/// Keys straight from the mapped key region. Positions come from the
+/// compiled plan (named layouts), the mapped `u32` index region (table
+/// files), or the virtual indexer (named layouts that do not compile);
+/// the reference walk uses the indexer or the table. Fat files descend
+/// whole mapped chunks through [`FatBytesPlane`].
+impl<K: FixedKey> Planes for MappedTree<K> {
+    type Key = K;
+
+    #[inline]
+    fn fast_plane(
+        &self,
+    ) -> FastPlane<impl DescentPlane<Key = K> + '_, impl FatPlane<Key = K> + '_> {
+        if let Some(index) = &self.fat_index {
+            return FastPlane::Fat(FatBytesPlane {
+                index,
+                bytes: self.key_bytes(),
+                key_count: self.geometry.key_count,
+                _keys: PhantomData,
+            });
+        }
+        let pos = match (&self.plan, &self.arithmetic) {
+            (Some(plan), _) => PosRef::Plan(plan),
+            _ => self.reference_positions(),
+        };
+        FastPlane::Binary(self.binary_plane(pos))
     }
 
-    fn key_count(&self) -> u64 {
-        self.geometry.key_count
+    #[inline]
+    fn reference_plane(&self) -> impl DescentPlane<Key = K> + '_ {
+        self.binary_plane(self.reference_positions())
+    }
+}
+
+impl<K: FixedKey> MappedTree<K> {
+    /// The file's key region.
+    #[inline]
+    fn key_bytes(&self) -> &[u8] {
+        let (off, len) = self.geometry.keys;
+        &self.region.bytes()[off..off + len]
     }
 
-    fn search(&self, key: K) -> Option<u64> {
-        MappedTree::search(self, key)
-    }
-
-    fn search_reference(&self, key: K) -> Option<u64> {
-        MappedTree::search_reference(self, key)
-    }
-
-    fn search_traced(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        MappedTree::search_traced(self, key, visited)
-    }
-
-    fn search_traced_kernel(&self, key: K, visited: &mut Vec<u64>) -> Option<u64> {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_search_traced(&p, key, visited),
-            None => kernel::search_traced(&self.plane(), key, visited),
+    /// Uncompiled positions: the fat or named indexer, or the mapped
+    /// `u32` index region of a table file.
+    #[inline]
+    fn reference_positions(&self) -> PosRef<'_> {
+        match (&self.fat_index, &self.arithmetic) {
+            (Some(fat), _) => PosRef::Index(fat),
+            (None, Some(ix)) => PosRef::Index(ix.as_ref()),
+            (None, None) => {
+                let (off, len) = self.geometry.index;
+                PosRef::Raw32(&self.region.bytes()[off..off + len])
+            }
         }
     }
 
-    fn search_batch_interleaved(&self, keys: &[K], width: usize, out: &mut Vec<Option<u64>>) {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_search_batch_interleaved(&p, keys, width, out),
-            None => kernel::search_batch_interleaved(&self.plane(), keys, width, out),
-        }
-    }
-
-    fn search_batch_checksum(&self, keys: &[K]) -> u64 {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_batch_checksum(&p, keys, kernel::DEFAULT_LANES),
-            None => kernel::batch_checksum(&self.plane(), keys, kernel::DEFAULT_LANES),
-        }
-    }
-
-    fn lower_bound_rank(&self, key: K) -> u64 {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_bound_rank::<_, false>(&p, key),
-            None => kernel::bound_rank::<_, false>(&self.plane(), key),
-        }
-    }
-
-    fn upper_bound_rank(&self, key: K) -> u64 {
-        match self.fat_plane() {
-            Some(p) => kernel::fat_bound_rank::<_, true>(&p, key),
-            None => kernel::bound_rank::<_, true>(&self.plane(), key),
-        }
-    }
-
-    fn key_at_rank(&self, rank: u64) -> Option<K> {
-        (rank >= 1 && rank <= self.geometry.key_count).then(|| {
-            let node = self.tree.node_at_in_order(rank);
-            self.key_at_position(self.position(node, self.tree.depth(node)))
-        })
-    }
-
-    fn position_of_rank(&self, rank: u64) -> Option<u64> {
-        (rank >= 1 && rank <= self.tree.len()).then(|| {
-            let node = self.tree.node_at_in_order(rank);
-            self.position(node, self.tree.depth(node))
-        })
+    #[inline]
+    fn binary_plane<'a>(&'a self, pos: PosRef<'a>) -> MappedPlane<'a, K> {
+        MappedPlane::new(
+            self.key_bytes(),
+            pos,
+            self.geometry.height,
+            self.geometry.key_count,
+        )
     }
 }
 
@@ -535,6 +375,7 @@ impl<K> std::fmt::Debug for MappedTree<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SearchBackend;
     use crate::facade::{SaveOptions, SearchTree, Storage};
     use cobtree_core::NamedLayout;
 

@@ -904,12 +904,6 @@ impl<K: Ord + Copy> TieredSnapshot<K> {
         self.base.as_deref()
     }
 
-    /// An owned handle to the base forest (shared with the engine).
-    #[must_use]
-    pub fn base_arc(&self) -> Option<Arc<Forest<K>>> {
-        self.base.clone()
-    }
-
     /// Resolves a probe against the buffer tiers alone: `Some(found)`
     /// when the memtable or frozen buffer decides the probe without
     /// touching the base, `None` when it must descend into a shard.
@@ -1845,17 +1839,6 @@ impl<K: FixedKey> TieredForest<K> {
             Some(base) => base.check_available(key),
             None => Ok(()),
         }
-    }
-
-    /// Force-quarantines dense base shard `shard` (testing and
-    /// operator tooling); returns whether the shard transitioned from
-    /// healthy. The next flush heals it.
-    pub fn quarantine_shard(&self, shard: usize) -> bool {
-        self.shared
-            .read_tiers()
-            .base
-            .as_deref()
-            .is_some_and(|f| f.quarantine(shard))
     }
 
     /// Runs `f` on the base forest (`None` before the first flush)

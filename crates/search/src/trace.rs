@@ -7,31 +7,8 @@
 //! uses 4-byte nodes: "a block size of 16 nodes mimics a cache line size
 //! of 64 bytes").
 
-use crate::backend::SearchBackend;
 use cobtree_core::index::PositionIndex;
 use cobtree_core::Tree;
-
-/// Emits the byte addresses touched by searching `keys` on *any* storage
-/// backend (`node_bytes` per element, starting at `base`). This is the
-/// generic sibling of [`search_addresses`]: where that function assumes
-/// an implicit tree served by a bare index, this one replays whatever
-/// access pattern the backend actually performs.
-pub fn backend_search_addresses<K: Copy + Ord>(
-    backend: &dyn SearchBackend<K>,
-    node_bytes: u64,
-    base: u64,
-    keys: &[K],
-    mut sink: impl FnMut(u64),
-) {
-    let mut visited = Vec::with_capacity(backend.height() as usize);
-    for &key in keys {
-        visited.clear();
-        backend.search_traced(key, &mut visited);
-        for &p in &visited {
-            sink(base + p * node_bytes);
-        }
-    }
-}
 
 /// Emits the byte addresses touched by searching `keys` on an implicit
 /// tree served by `index`, with `node_bytes` per element, starting at
@@ -107,22 +84,5 @@ mod tests {
             let trace = search_positions(idx.as_ref(), [1u64, 64, 127]);
             assert_eq!(trace[0], root_pos);
         }
-    }
-
-    #[test]
-    fn backend_trace_matches_index_trace_for_found_keys() {
-        // For full trees with rank keys, an implicit backend's traced
-        // accesses equal the index-derived address trace.
-        let h = 6;
-        let idx = NamedLayout::MinWep.indexer(h);
-        let keys: Vec<u64> = (1..=(1u64 << h) - 1).collect();
-        let tree = crate::ImplicitTree::build(NamedLayout::MinWep.indexer(h), &keys);
-        let mut via_backend = Vec::new();
-        backend_search_addresses(&tree, 4, 16, &keys, |a| via_backend.push(a));
-        let mut via_index = Vec::new();
-        search_addresses(idx.as_ref(), 4, 16, keys.iter().copied(), |a| {
-            via_index.push(a);
-        });
-        assert_eq!(via_backend, via_index);
     }
 }

@@ -1,18 +1,25 @@
-//! Property tests pinning the compiled descent kernels to the slow
-//! paths they replace: result positions, visited traces and batch
+//! Property tests pinning the compiled descent kernels to the reference
+//! walk they replace: result positions, visited traces and batch
 //! checksums must be **bit-identical** across all 13 named layouts and
-//! all 4 storage backends (explicit, implicit, index-only, and the
-//! mapped backend opened from the implicit tree's file image),
-//! including supremum-padded trees, and the interleaved kernel must
-//! agree at every width — including batches shorter than the width.
-//! The fat-node (B-ary) plane is additionally pinned SIMD-vs-scalar:
-//! the AVX2 rank-of-key kernels and the always-compiled scalar fallback
-//! must be bit-identical on every observable output.
+//! every storage backend (explicit, implicit, index-only, and the
+//! mapped backend opened from the implicit tree's file image, both by
+//! layout name and as a position table), including supremum-padded
+//! trees, and the interleaved kernel must agree at every width —
+//! including batches shorter than the width. The fat-node layouts run
+//! the same checks in `fat_parity.rs`, and here the fat-node plane is
+//! pinned SIMD-vs-scalar: the AVX2 rank-of-key kernels and the
+//! always-compiled scalar fallback must be bit-identical on every
+//! observable output.
+
+mod parity;
 
 use cobtree_core::fat::FatLayout;
 use cobtree_core::NamedLayout;
 use cobtree_search::kernel::{force_scalar_rank, simd_rank_enabled};
-use cobtree_search::{SaveOptions, SearchBackend, SearchTree, Storage};
+use cobtree_search::{DescriptorKind, SearchBackend, Storage};
+use parity::{
+    all_backends, check_bounds, check_checksum, check_interleaved, check_point_and_trace,
+};
 use proptest::prelude::*;
 
 fn arb_named() -> impl Strategy<Value = NamedLayout> {
@@ -23,38 +30,14 @@ fn arb_fat() -> impl Strategy<Value = FatLayout> {
     proptest::sample::select(FatLayout::ALL.to_vec())
 }
 
-/// The four storage backends over one (usually padded) key set: the
-/// three the builder constructs plus the mapped backend served from the
-/// implicit tree's file bytes.
-fn all_backends(layout: NamedLayout, keys: &[u64]) -> Vec<SearchTree<u64>> {
-    let mut trees: Vec<SearchTree<u64>> = Storage::ALL
-        .iter()
-        .map(|&storage| {
-            SearchTree::builder()
-                .layout(layout)
-                .storage(storage)
-                .keys(keys.iter().copied())
-                .build()
-                .expect("parity tree")
-        })
-        .collect();
-    let bytes = trees
-        .iter()
-        .find(|t| t.storage() == Storage::Implicit)
-        .expect("implicit built")
-        .encode(&SaveOptions::new())
-        .expect("encode");
-    trees.push(SearchTree::open_bytes(bytes).expect("reopen"));
-    trees
-}
+/// Every backend over a named layout, the table-descriptor file included.
+const DESCRIPTORS: [DescriptorKind; 2] = [DescriptorKind::Auto, DescriptorKind::Table];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Point parity: kernel `search` and `search_traced_kernel` agree
-    /// with the slow `search_reference` / `search_traced` on result
-    /// position *and* visited position sequence, for hits, misses, and
-    /// probes landing in the padding region.
+    /// Point parity for hits, misses, and probes landing in the padding
+    /// region.
     #[test]
     fn kernel_point_search_and_trace_match_slow_path(
         layout in arb_named(),
@@ -63,27 +46,12 @@ proptest! {
         probes in proptest::collection::vec(0u64..8_000, 48),
     ) {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
-        for tree in all_backends(layout, &keys) {
-            let storage = tree.storage();
-            let (mut slow, mut fast) = (Vec::new(), Vec::new());
-            for probe in probes.iter().copied().chain(keys.iter().copied()) {
-                prop_assert_eq!(
-                    tree.search(probe),
-                    tree.search_reference(probe),
-                    "{}/{} result for {}", layout, storage, probe
-                );
-                slow.clear();
-                fast.clear();
-                let a = tree.search_traced(probe, &mut slow);
-                let b = tree.search_traced_kernel(probe, &mut fast);
-                prop_assert_eq!(a, b, "{}/{} traced result for {}", layout, storage, probe);
-                prop_assert_eq!(&slow, &fast, "{}/{} trace for {}", layout, storage, probe);
-            }
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            let name = format!("{layout}/{name}");
+            check_point_and_trace(&name, &tree, probes.iter().chain(&keys).copied())?;
         }
     }
 
-    /// Checksum parity: the shared interleaved checksum kernel equals
-    /// the slow per-probe accumulation on every backend.
     #[test]
     fn kernel_checksum_matches_slow_accumulation(
         layout in arb_named(),
@@ -92,21 +60,11 @@ proptest! {
         probes in proptest::collection::vec(0u64..8_000, 96),
     ) {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
-        for tree in all_backends(layout, &keys) {
-            let slow = probes
-                .iter()
-                .filter_map(|&p| tree.search_reference(p))
-                .fold(0u64, u64::wrapping_add);
-            prop_assert_eq!(
-                tree.search_batch_checksum(&probes),
-                slow,
-                "{}/{}", layout, tree.storage()
-            );
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            check_checksum(&format!("{layout}/{name}"), &tree, &probes)?;
         }
     }
 
-    /// Interleaved parity at W ∈ {1, 3, 8, 16}, including batches
-    /// shorter than the width and the empty batch.
     #[test]
     fn interleaved_matches_scalar_at_every_width(
         layout in arb_named(),
@@ -115,19 +73,8 @@ proptest! {
         probes in proptest::collection::vec(0u64..8_000, 40),
     ) {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
-        for tree in all_backends(layout, &keys) {
-            let scalar: Vec<Option<u64>> = probes.iter().map(|&p| tree.search(p)).collect();
-            let mut out = Vec::new();
-            for width in [1usize, 3, 8, 16] {
-                tree.search_batch_interleaved(&probes, width, &mut out);
-                prop_assert_eq!(&out, &scalar, "{}/{} w={}", layout, tree.storage(), width);
-                // Batch strictly shorter than the interleave width.
-                let short = width.saturating_sub(1).min(probes.len());
-                tree.search_batch_interleaved(&probes[..short], width, &mut out);
-                prop_assert_eq!(&out, &scalar[..short].to_vec(), "{}/{} short w={}", layout, tree.storage(), width);
-            }
-            tree.search_batch_interleaved(&[], 8, &mut out);
-            prop_assert!(out.is_empty());
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            check_interleaved(&format!("{layout}/{name}"), &tree, &probes)?;
         }
     }
 
@@ -151,27 +98,9 @@ proptest! {
         probes in proptest::collection::vec(0u64..8_000, 64),
     ) {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
-        let mut trees: Vec<SearchTree<u64>> = Storage::ALL
-            .iter()
-            .map(|&storage| {
-                SearchTree::builder()
-                    .layout(layout)
-                    .storage(storage)
-                    .keys(keys.iter().copied())
-                    .build()
-                    .expect("fat parity tree")
-            })
-            .collect();
-        let bytes = trees
-            .iter()
-            .find(|t| t.storage() == Storage::Implicit)
-            .expect("implicit built")
-            .encode(&SaveOptions::new())
-            .expect("encode");
-        trees.push(SearchTree::open_bytes(bytes).expect("reopen"));
+        let trees = all_backends(layout, &keys, &[DescriptorKind::Auto]);
         let widths = [1usize, 3, 8, 16];
-        for tree in &trees {
-            let storage = tree.storage();
+        for (storage, tree) in &trees {
             // Pass 1: runtime dispatch as shipped (AVX2 where detected).
             force_scalar_rank(false);
             let simd_results: Vec<Option<u64>> = probes.iter().map(|&p| tree.search(p)).collect();
@@ -216,9 +145,6 @@ proptest! {
         }
     }
 
-    /// The kernel bound-rank descents (implicit + mapped overrides)
-    /// agree with a sorted-vector oracle through the facade's ordered
-    /// API, padding included.
     #[test]
     fn kernel_bound_ranks_match_sorted_oracle(
         layout in arb_named(),
@@ -227,22 +153,8 @@ proptest! {
         probes in proptest::collection::vec(0u64..8_000, 48),
     ) {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
-        for tree in all_backends(layout, &keys) {
-            for &p in &probes {
-                let lb = keys.partition_point(|&k| k < p) as u64;
-                let ub = keys.partition_point(|&k| k <= p) as u64;
-                prop_assert_eq!(tree.rank(p), lb, "{}/{} rank({})", layout, tree.storage(), p);
-                prop_assert_eq!(
-                    tree.lower_bound(p),
-                    keys.get(lb as usize).copied(),
-                    "{}/{} lower_bound({})", layout, tree.storage(), p
-                );
-                prop_assert_eq!(
-                    tree.upper_bound(p),
-                    keys.get(ub as usize).copied(),
-                    "{}/{} upper_bound({})", layout, tree.storage(), p
-                );
-            }
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            check_bounds(&format!("{layout}/{name}"), &tree, &keys, &probes)?;
         }
     }
 }

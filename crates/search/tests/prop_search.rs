@@ -1,7 +1,7 @@
 //! Property-based tests for the search-tree substrate.
 
 use cobtree_core::NamedLayout;
-use cobtree_search::{ExplicitTree, ImplicitTree};
+use cobtree_search::{ExplicitTree, ImplicitTree, SearchBackend};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -63,7 +63,7 @@ proptest! {
         mult in 1u64..40,
         probes in proptest::collection::vec(0u64..200_000, 40),
     ) {
-        use cobtree_search::{range_of, SearchBackend};
+        use cobtree_search::range_of;
         let n = (1u64 << h) - 1;
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
         let mat = layout.materialize(h);

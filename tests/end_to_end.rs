@@ -6,7 +6,7 @@ use cobtree::core::{EdgeWeights, NamedLayout, Tree};
 use cobtree::measures::{block_transitions, functionals};
 use cobtree::search::trace::search_addresses;
 use cobtree::search::workload::UniformKeys;
-use cobtree::search::{ExplicitTree, ImplicitTree};
+use cobtree::search::{ExplicitTree, ImplicitTree, SearchBackend};
 
 fn nu0(layout: NamedLayout, h: u32) -> f64 {
     let l = layout.materialize(h);

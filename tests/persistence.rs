@@ -1,5 +1,5 @@
 //! Acceptance tests for the zero-copy persistence subsystem: for all 13
-//! named layouts, `SearchTree::save` → `SearchTree::open` must serve a
+//! named layouts, `SearchTree::write_file` → `SearchTree::open` must serve a
 //! tree that is indistinguishable from the in-memory backends (same
 //! keys, same positions, same checksums, full ordered surface against
 //! oracles) — and every way a file can be corrupt, truncated or
