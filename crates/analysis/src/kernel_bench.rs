@@ -3,21 +3,25 @@
 //! `BENCH_kernel.json` artifact the CI bench job uploads alongside
 //! `BENCH_forest.json`.
 //!
-//! Three search paths answer the same probes over the same tree:
+//! These search paths answer the same probes over the same tree:
 //!
-//! * `reference` — the pre-kernel descent (`search_reference`): one
-//!   virtual `position` call and a three-way branch per level;
+//! * `reference` — the pre-kernel descent (`search_reference`), probe
+//!   by probe: one virtual `position` call and a three-way branch per
+//!   level;
 //! * `kernel` — the compiled scalar kernel: devirtualized positions,
 //!   branch-free descent, both children prefetched a level ahead;
 //! * `interleaved_wN` — the interleaved kernel with `N` lookups in
-//!   flight (memory-level parallelism).
+//!   flight (memory-level parallelism);
+//! * `sorted` (the `batch` mix only) — the shared-prefix sorted-batch
+//!   walk (`search_sorted_batch`), which restarts each probe from the
+//!   lowest common ancestor of its path and the previous probe's, on
+//!   the compiled fast plane (fat trees walk their binary reference
+//!   plane).
 //!
 //! Every path must produce the identical position checksum — the run
 //! **panics** on any divergence, so the artifact doubles as a
 //! kernel/slow-path parity assertion on the CI workload. Mixes cover
-//! uniform and Zipf point probes plus a sorted batch (where the
-//! `reference` path is the shared-prefix LCA batch search of PR 2 and
-//! the kernel paths answer the same batch probe-by-probe), over an
+//! uniform and Zipf point probes plus one ascending batch, over an
 //! in-memory implicit tree and the same tree served from mapped file
 //! bytes — and, since the fat-node plane landed, over a B-ary fat tree
 //! (`fat_implicit`) and its mapped serving twin (`fat_mapped`), whose
@@ -92,7 +96,7 @@ pub struct KernelPoint {
     pub storage: &'static str,
     /// `uniform`, `zipf` or `batch`.
     pub mix: &'static str,
-    /// `reference`, `kernel` or `interleaved_wN`.
+    /// `reference`, `kernel`, `interleaved_wN` or `sorted`.
     pub path: String,
     /// Probes answered.
     pub ops: usize,
@@ -168,6 +172,16 @@ fn interleaved_checksum(
         .fold(0u64, |acc, &p| acc.wrapping_add(p))
 }
 
+/// Sums found positions via the shared-prefix sorted-batch walk
+/// (`probes` ascending).
+fn sorted_checksum(tree: &SearchTree<u64>, probes: &[u64], out: &mut Vec<Option<u64>>) -> u64 {
+    tree.search_sorted_batch(probes, out)
+        .expect("ascending batch");
+    out.iter()
+        .flatten()
+        .fold(0u64, |acc, &p| acc.wrapping_add(p))
+}
+
 /// Runs every `(storage, mix, path)` cell and returns the report.
 /// Pass a pre-built [`ZipfTable`] to share the Zipf weight table with
 /// other drivers of the same `(n, s)` (the throughput driver does);
@@ -226,20 +240,7 @@ pub fn run(cfg: &KernelBenchConfig, zipf: Option<&ZipfTable>) -> KernelReport {
             ("zipf", &zipf_probes),
             ("batch", &batch),
         ] {
-            // Reference path: per-probe slow loop for the point mixes,
-            // the PR-2 shared-prefix sorted-batch search for `batch`.
-            let (reference, wall_ns) = if mix == "batch" {
-                time(|| {
-                    tree.search_sorted_batch(probes, &mut out)
-                        .expect("ascending batch");
-                    black_box(&out)
-                        .iter()
-                        .flatten()
-                        .fold(0u64, |acc, &p| acc.wrapping_add(p))
-                })
-            } else {
-                time(|| black_box(reference_checksum(tree, probes)))
-            };
+            let (reference, wall_ns) = time(|| black_box(reference_checksum(tree, probes)));
             points.push(KernelPoint {
                 storage,
                 mix,
@@ -278,6 +279,22 @@ pub fn run(cfg: &KernelBenchConfig, zipf: Option<&ZipfTable>) -> KernelReport {
                     wall_ns,
                     ops_per_sec: rate(probes.len(), wall_ns),
                     checksum: inter,
+                });
+            }
+            if mix == "batch" {
+                let (sorted, wall_ns) = time(|| black_box(sorted_checksum(tree, probes, &mut out)));
+                assert_eq!(
+                    sorted, reference,
+                    "{storage}/{mix}: sorted-batch checksum diverged from the slow path"
+                );
+                points.push(KernelPoint {
+                    storage,
+                    mix,
+                    path: "sorted".to_string(),
+                    ops: probes.len(),
+                    wall_ns,
+                    ops_per_sec: rate(probes.len(), wall_ns),
+                    checksum: sorted,
                 });
             }
         }
@@ -366,9 +383,9 @@ mod tests {
     fn tiny_run_produces_parity_checked_report() {
         let cfg = KernelBenchConfig::tiny();
         let report = run(&cfg, None);
-        // 4 storages (binary + fat, heap + mapped each) × 3 mixes ×
-        // (reference + kernel + 2 widths).
-        assert_eq!(report.points.len(), 4 * 3 * 4);
+        // 4 storages (binary + fat, heap + mapped each) × (3 mixes ×
+        // (reference + kernel + 2 widths) + the batch mix's sorted row).
+        assert_eq!(report.points.len(), 4 * (3 * 4 + 1));
         assert_eq!(report.fat_layout, "FAT16-VEB");
         for p in &report.points {
             assert!(p.ops > 0 && p.ops_per_sec > 0.0, "{}/{}", p.mix, p.path);
@@ -397,6 +414,7 @@ mod tests {
             "\"path\": \"kernel\"",
             "\"path\": \"interleaved_w3\"",
             "\"path\": \"interleaved_w8\"",
+            "\"path\": \"sorted\"",
             "\"storage\": \"fat_implicit\"",
             "\"storage\": \"fat_mapped\"",
             "\"fat_layout\": \"FAT16-VEB\"",

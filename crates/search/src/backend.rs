@@ -21,8 +21,11 @@
 //! (read off the reference plane), and `search_reference` /
 //! `search_traced`, which are the one three-way reference walk
 //! ([`crate::kernel::reference_walk`]) without and with a trace sink.
+//! Sorted batches are its shared-prefix form
+//! ([`crate::kernel::sorted_walk`]): untraced on the fast plane, traced
+//! on the reference plane.
 //! [`crate::ExplicitTree`] implements the trait directly, with pointer
-//! kernels and one pointer walk of its own, and the facade forwards to
+//! kernels and pointer walks of its own, and the facade forwards to
 //! whichever backend it holds. Every implementor states both its kernel
 //! and its oracle: none of the search entry points has a default.
 //!
@@ -44,8 +47,8 @@
 //! [`SearchBackend::position_of_rank`] translate rank → (key, position);
 //! together with the bound-rank descents they carry everything else —
 //! `lower_bound`/`upper_bound`, `rank`/`select`, cursors and range scans
-//! ([`crate::cursor`]), and sorted-batch search — which is provided once
-//! on the trait and inherited by all backends.
+//! ([`crate::cursor`]) — which is provided once on the trait and
+//! inherited by all backends.
 //!
 //! Contract details implementations must uphold:
 //!
@@ -63,8 +66,7 @@
 //! Positions are 0-based offsets into the backend's layout array,
 //! reported as `u64` regardless of the backend's internal width.
 
-use cobtree_core::error::{Error, Result};
-use cobtree_core::Tree;
+use cobtree_core::error::Result;
 
 /// Object-safe ordered-index interface shared by all storage backends.
 pub trait SearchBackend<K: Copy + Ord> {
@@ -131,6 +133,39 @@ pub trait SearchBackend<K: Copy + Ord> {
     /// `key_count() + 1` when none is larger.
     fn upper_bound_rank(&self, key: K) -> u64;
 
+    /// Searches an ascending probe batch, amortizing root-path traversal:
+    /// consecutive probes restart the descent from the lowest common
+    /// ancestor of their paths instead of the root, so shared path
+    /// prefixes are fetched once per batch rather than once per probe
+    /// (the plane backends run [`crate::kernel::sorted_walk`] on their
+    /// fast plane).
+    ///
+    /// `out` is cleared and filled with one entry per probe (the found
+    /// layout position, as [`SearchBackend::search`] would return).
+    /// Scratch-free: callers reuse `out` across batches.
+    ///
+    /// # Errors
+    /// [`Error::UnsortedBatch`](cobtree_core::Error::UnsortedBatch) if
+    /// `keys` has a descending adjacent pair (equal probes are fine).
+    fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) -> Result<()>;
+
+    /// [`SearchBackend::search_sorted_batch`] on the reference walk,
+    /// recording the layout position of every *newly fetched* node.
+    /// Nodes on the shared path prefix between consecutive probes are
+    /// carried in the descent stack and not re-fetched, so for a sorted
+    /// batch the trace is a subset of — and strictly shorter than — the
+    /// concatenation of the probes' independent
+    /// [`SearchBackend::search_traced`] traces.
+    ///
+    /// # Errors
+    /// As for [`SearchBackend::search_sorted_batch`].
+    fn search_sorted_batch_traced(
+        &self,
+        keys: &[K],
+        out: &mut Vec<Option<u64>>,
+        visited: &mut Vec<u64>,
+    ) -> Result<()>;
+
     // ------------------------------------------------------------------
     // Provided: point queries and ordered navigation
     // ------------------------------------------------------------------
@@ -178,7 +213,7 @@ pub trait SearchBackend<K: Copy + Ord> {
     }
 
     // ------------------------------------------------------------------
-    // Provided: scans and sorted batches
+    // Provided: scans
     // ------------------------------------------------------------------
 
     /// Pushes the layout position of every stored rank in
@@ -194,131 +229,13 @@ pub trait SearchBackend<K: Copy + Ord> {
             }
         }
     }
-
-    /// Searches an ascending probe batch, amortizing root-path traversal:
-    /// consecutive probes restart the descent from the lowest common
-    /// ancestor of their paths instead of the root, so shared path
-    /// prefixes are fetched once per batch rather than once per probe.
-    ///
-    /// `out` is cleared and filled with one entry per probe (the found
-    /// layout position, as [`SearchBackend::search`] would return).
-    /// Scratch-free: callers reuse `out` across batches.
-    ///
-    /// # Errors
-    /// [`Error::UnsortedBatch`] if `keys` has a descending adjacent pair
-    /// (equal probes are fine).
-    fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<u64>>) -> Result<()> {
-        sorted_batch_impl(self, keys, out, None)
-    }
-
-    /// [`SearchBackend::search_sorted_batch`], recording the layout
-    /// position of every *newly fetched* node. Nodes on the shared path
-    /// prefix between consecutive probes are carried in the descent
-    /// stack and not re-fetched, so for a sorted batch the trace is a
-    /// subset of — and strictly shorter than — the concatenation of the
-    /// probes' independent [`SearchBackend::search_traced`] traces.
-    ///
-    /// # Errors
-    /// [`Error::UnsortedBatch`] as for [`SearchBackend::search_sorted_batch`].
-    fn search_sorted_batch_traced(
-        &self,
-        keys: &[K],
-        out: &mut Vec<Option<u64>>,
-        visited: &mut Vec<u64>,
-    ) -> Result<()> {
-        sorted_batch_impl(self, keys, out, Some(visited))
-    }
-}
-
-/// Shared sorted-batch kernel. Maintains the current root-to-node path as
-/// a stack of `(bfs node, rank, key, exclusive upper bound)`; each probe
-/// pops to the deepest stacked ancestor whose subtree can still contain
-/// it (the LCA of consecutive search paths) and resumes the descent from
-/// there. Only newly pushed nodes are fetched from the backend (and
-/// recorded when tracing) — the popped prefix rides along in the stack.
-fn sorted_batch_impl<K, B>(
-    backend: &B,
-    keys: &[K],
-    out: &mut Vec<Option<u64>>,
-    mut visited: Option<&mut Vec<u64>>,
-) -> Result<()>
-where
-    K: Copy + Ord,
-    B: SearchBackend<K> + ?Sized,
-{
-    out.clear();
-    out.reserve(keys.len());
-    let h = backend.height();
-    let tree = Tree::new(h);
-    // (bfs node, in-order rank, key — None is a padding slot and
-    // compares as +∞, exclusive upper key bound inherited from the
-    // nearest left-turn ancestor).
-    let mut stack: Vec<(u64, u64, Option<K>, Option<K>)> = Vec::with_capacity(h as usize);
-    let mut prev: Option<K> = None;
-    for (idx, &probe) in keys.iter().enumerate() {
-        if let Some(p) = prev {
-            if probe < p {
-                return Err(Error::UnsortedBatch { index: idx - 1 });
-            }
-        }
-        prev = Some(probe);
-        // Pop everything whose subtree lies entirely below `probe`: an
-        // entry with upper bound `u <= probe` cannot contain it (when
-        // `probe == u`, the match — if any — is the ancestor holding
-        // `u`, which stays on the stack).
-        while let Some(&(_, _, _, upper)) = stack.last() {
-            match upper {
-                Some(u) if probe >= u => {
-                    stack.pop();
-                }
-                _ => break,
-            }
-        }
-        if stack.is_empty() {
-            let r = tree.in_order_rank(1);
-            if let Some(v) = visited.as_deref_mut() {
-                if let Some(p) = backend.position_of_rank(r) {
-                    v.push(p);
-                }
-            }
-            stack.push((1, r, backend.key_at_rank(r), None));
-        }
-        // Resume the descent from the stack top (already fetched).
-        let result = loop {
-            let &(i, r, k, upper) = stack.last().expect("stack holds at least the root");
-            let go_right = match k {
-                Some(k) => match probe.cmp(&k) {
-                    std::cmp::Ordering::Equal => break backend.position_of_rank(r),
-                    std::cmp::Ordering::Less => false,
-                    std::cmp::Ordering::Greater => true,
-                },
-                // Padding slot = +∞: the probe sorts below it.
-                None => false,
-            };
-            let child = (i << 1) | u64::from(go_right);
-            if child > tree.len() {
-                break None; // fell off a leaf: absent
-            }
-            let cr = tree.in_order_rank(child);
-            if let Some(v) = visited.as_deref_mut() {
-                if let Some(p) = backend.position_of_rank(cr) {
-                    v.push(p);
-                }
-            }
-            // Turning left tightens the upper bound to this node's key
-            // (padding keys are +∞ and leave it unchanged).
-            let cupper = if go_right { upper } else { k.or(upper) };
-            stack.push((child, cr, backend.key_at_rank(cr), cupper));
-        };
-        out.push(result);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::implicit::ImplicitTree;
+    use cobtree_core::error::Error;
     use cobtree_core::NamedLayout;
 
     fn tree(h: u32) -> ImplicitTree<u64> {

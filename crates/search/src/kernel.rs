@@ -5,8 +5,9 @@
 //! the same. This module makes that literal. A storage backend states
 //! its *planes* — the kernels' view of its key storage plus a position
 //! source — and one blanket impl implements the whole
-//! [`SearchBackend`] surface for it (point, traced, interleaved and
-//! checksum searches, bound ranks, and the rank primitives):
+//! [`SearchBackend`] surface for it (point, traced, interleaved,
+//! checksum and sorted-batch searches, bound ranks, and the rank
+//! primitives):
 //!
 //! * the **fast plane** feeds the compiled kernels: a [`DescentPlane`]
 //!   for binary layouts or a [`FatPlane`] for fat-node layouts, with
@@ -21,6 +22,11 @@
 //!   consumes (chunk-granular on fat planes); without one it is
 //!   `search_reference`. The rank primitives (`key_at_rank`,
 //!   `position_of_rank`) read the reference plane too.
+//!
+//! Sorted batches run [`sorted_walk`], the reference walk's
+//! shared-prefix form: untraced on a binary fast plane (fat backends
+//! walk their binary reference plane), traced on the reference plane,
+//! so cache replay sees the nodes the oracle fetches.
 //!
 //! The binary planes are [`ArrayPlane`] (keys in layout order, the
 //! implicit backend), [`RankPlane`] (keys in sorted order, the
@@ -65,6 +71,7 @@
 
 use crate::backend::SearchBackend;
 use crate::explicit::Node;
+use cobtree_core::error::{Error, Result};
 use cobtree_core::fat::FatIndex;
 use cobtree_core::format::FixedKey;
 use cobtree_core::index::{PositionIndex, StepPlan};
@@ -579,6 +586,101 @@ pub fn reference_walk<P: DescentPlane>(
     None
 }
 
+/// One node of [`sorted_walk`]'s current root path.
+#[derive(Clone, Copy)]
+struct PathStep<K> {
+    node: u64,
+    loc: u64,
+    /// `None` for a padding slot, which compares as `+∞`.
+    key: Option<K>,
+    /// Exclusive upper bound of the node's subtree, inherited from the
+    /// nearest ancestor the path turned left at (`None` = `+∞`).
+    upper: Option<K>,
+}
+
+/// The shared-prefix sorted-batch descent: [`reference_walk`] for each
+/// probe of an ascending batch, restarted from the lowest common
+/// ancestor of consecutive probes' root paths instead of the root. The
+/// current path rides in a stack; each probe pops every node whose
+/// subtree lies entirely below it and resumes the three-way descent
+/// from the deepest node left, so a shared path prefix is fetched once
+/// per batch. `emit` receives `(probe index, result)` in probe order;
+/// results are bit-identical to per-probe [`reference_walk`].
+///
+/// With a trace sink, the layout position of every *newly fetched*
+/// node is recorded (one slot per node, whatever the plane's chunking):
+/// for a sorted batch the trace is a subset of the concatenated
+/// per-probe traces.
+///
+/// # Errors
+/// [`Error::UnsortedBatch`] at the first descending adjacent probe pair
+/// (equal probes are fine); the probes before it have been emitted.
+pub fn sorted_walk<P: DescentPlane>(
+    plane: &P,
+    probes: &[P::Key],
+    mut emit: impl FnMut(usize, Option<u64>),
+    mut trace: Option<&mut Vec<u64>>,
+) -> Result<()> {
+    let h = plane.height();
+    let mut fetch = |node: u64, depth: u32, upper: Option<P::Key>| {
+        let loc = plane.locate(node, depth);
+        if let Some(visited) = trace.as_deref_mut() {
+            visited.push(if plane.locator_is_position() {
+                loc
+            } else {
+                plane.position(node, depth)
+            });
+        }
+        let key = plane.is_real(node).then(|| plane.key_at(loc));
+        PathStep {
+            node,
+            loc,
+            key,
+            upper,
+        }
+    };
+    let mut path: Vec<PathStep<P::Key>> = Vec::with_capacity(h as usize);
+    for (idx, &probe) in probes.iter().enumerate() {
+        if idx > 0 && probe < probes[idx - 1] {
+            return Err(Error::UnsortedBatch { index: idx - 1 });
+        }
+        // A node whose upper bound is `<= probe` cannot contain it (on
+        // equality the match is the ancestor holding the bound, which
+        // stays). The root's bound is `+∞`, so the path never empties.
+        while path
+            .last()
+            .is_some_and(|s| s.upper.is_some_and(|u| probe >= u))
+        {
+            path.pop();
+        }
+        if path.is_empty() {
+            path.push(fetch(1, 0, None));
+        }
+        let result = loop {
+            let top = *path.last().expect("the path holds at least the root");
+            let go_right = match top.key.map(|k| probe.cmp(&k)) {
+                Some(Ordering::Equal) => break Some(plane.result_position(top.loc)),
+                Some(Ordering::Greater) => true,
+                Some(Ordering::Less) | None => false,
+            };
+            let depth = path.len() as u32;
+            if depth == h {
+                break None; // fell off a leaf: absent
+            }
+            // Turning left tightens the bound to this node's key
+            // (padding is `+∞` and leaves it unchanged).
+            let upper = if go_right {
+                top.upper
+            } else {
+                top.key.or(top.upper)
+            };
+            path.push(fetch((top.node << 1) | u64::from(go_right), depth, upper));
+        };
+        emit(idx, result);
+    }
+    Ok(())
+}
+
 /// Branch-free bound-rank descent: the 1-based in-order rank of the
 /// first stored key `>= probe` (`UPPER = false`, i.e. `lower_bound_rank`)
 /// or `> probe` (`UPPER = true`, `upper_bound_rank`). Identical results
@@ -1017,6 +1119,22 @@ impl<B: DescentPlane, F: FatPlane<Key = B::Key>> FastPlane<B, F> {
         }
     }
 
+    /// The untraced [`sorted_walk`]: on this binary plane, or on the
+    /// binary `reference` plane when this one is fat (a chunk kernel has
+    /// no shared prefix to keep, and the node-by-node walk over the same
+    /// slots beats per-probe chunk descents on dense batches).
+    fn sorted_walk(
+        &self,
+        reference: &impl DescentPlane<Key = B::Key>,
+        probes: &[B::Key],
+        emit: impl FnMut(usize, Option<u64>),
+    ) -> Result<()> {
+        match self {
+            Self::Binary(p) => sorted_walk(p, probes, emit, None),
+            Self::Fat(_) => sorted_walk(reference, probes, emit, None),
+        }
+    }
+
     /// Trace granularity of [`reference_walk`] for this plane: whole
     /// chunks on fat planes, single nodes otherwise.
     fn trace_stride(&self) -> u64 {
@@ -1145,6 +1263,21 @@ impl<T: Planes> SearchBackend<T::Key> for T {
     #[inline]
     fn upper_bound_rank(&self, key: T::Key) -> u64 {
         self.fast_plane().bound_rank::<true>(key)
+    }
+
+    fn search_sorted_batch(&self, keys: &[T::Key], out: &mut Vec<Option<u64>>) -> Result<()> {
+        self.fast_plane()
+            .sorted_walk(&self.reference_plane(), keys, collect_into(out, keys.len()))
+    }
+
+    fn search_sorted_batch_traced(
+        &self,
+        keys: &[T::Key],
+        out: &mut Vec<Option<u64>>,
+        visited: &mut Vec<u64>,
+    ) -> Result<()> {
+        let emit = collect_into(out, keys.len());
+        sorted_walk(&self.reference_plane(), keys, emit, Some(visited))
     }
 }
 

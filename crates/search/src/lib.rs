@@ -34,9 +34,9 @@
 //!   [`cobtree_core::index::StepPlan`]s, branch-free descent with the
 //!   equality check hoisted out of the loop, software prefetch of both
 //!   candidate children, an interleaved multi-query kernel that keeps
-//!   up to 16 lookups in flight, and the one three-way reference walk
+//!   up to 16 lookups in flight, the one three-way reference walk
 //!   (`search_reference` / `search_traced`) the kernels are verified
-//!   against;
+//!   against, and its shared-prefix form for sorted batches;
 //! * [`mapped`] — the *serving* backend: [`mapped::MappedTree`] answers
 //!   the full ordered surface zero-copy from the bytes of a saved tree
 //!   file (`SearchTree::write_file`/`open`, format spec in `docs/FORMAT.md`),

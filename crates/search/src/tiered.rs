@@ -46,6 +46,12 @@
 //! operation is derived from that one formula, so a `TieredForest`
 //! answers exactly what one `BTreeSet` holding the live keys would.
 //!
+//! Point lookups ([`TieredForest::find`], [`TieredForest::find_batch`])
+//! and sorted batches compute no rank: the youngest tier that mentions
+//! a key decides, and a base hit costs one descent of the routed
+//! shard. Ranks are computed only where a caller asks for one
+//! ([`TieredForest::locate`], rank/select, bounds, ranges, cursors).
+//!
 //! # Crash consistency
 //!
 //! Shard files are named by a store-wide **generation**
@@ -440,22 +446,8 @@ impl<'a, K: Ord + Copy> View<'a, K> {
         adds - below(&self.frozen.tombstones, x) - below(&self.mem.tombstones, x)
     }
 
-    /// Tier resolution order for membership: the youngest tier that
-    /// mentions a key decides.
     fn contains(&self, x: K) -> bool {
-        if has(&self.mem.inserts, x) {
-            return true;
-        }
-        if has(&self.mem.tombstones, x) {
-            return false;
-        }
-        if has(&self.frozen.inserts, x) {
-            return true;
-        }
-        if has(&self.frozen.tombstones, x) {
-            return false;
-        }
-        self.base.is_some_and(|f| f.contains(x))
+        self.find(x).is_some()
     }
 
     /// Resolves a key against the buffer tiers alone: `Some(found)`
@@ -473,21 +465,34 @@ impl<'a, K: Ord + Copy> View<'a, K> {
         None
     }
 
-    fn locate(&self, x: K) -> Option<TieredHit> {
-        if !self.contains(x) {
-            return None;
+    /// The tier holding live key `x`, without computing its rank. The
+    /// youngest tier that mentions `x` decides: the buffers first, then
+    /// the routed base shard's fast-plane `search` — one descent.
+    fn find(&self, x: K) -> Option<TierPlace> {
+        if let Some(live) = self.buffer_lookup(x) {
+            return live.then_some(TierPlace::Buffer);
         }
-        let rank = self.count_le(x);
-        let place = if has(&self.mem.inserts, x) || has(&self.frozen.inserts, x) {
-            TierPlace::Buffer
-        } else {
-            let hit = self.base?.locate(x)?;
-            TierPlace::Shard {
-                shard: hit.shard,
-                position: hit.position,
-            }
-        };
-        Some(TieredHit { rank, place })
+        let (shard, tree) = self.base?.route(x)?;
+        let position = tree.search(x)?;
+        Some(TierPlace::Shard { shard, position })
+    }
+
+    /// [`View::find`] behind the quarantine gate: a probe routed to a
+    /// quarantined base shard answers [`Error::ShardUnavailable`], even
+    /// when a buffer holds it.
+    fn find_available(&self, x: K) -> Result<Option<TierPlace>> {
+        if let Some(base) = self.base {
+            base.check_available(x)?;
+        }
+        Ok(self.find(x))
+    }
+
+    fn locate(&self, x: K) -> Option<TieredHit> {
+        let place = self.find(x)?;
+        Some(TieredHit {
+            rank: self.count_le(x),
+            place,
+        })
     }
 
     /// The base key that would hold engine rank `r`, if any: the first
@@ -572,28 +577,29 @@ impl<'a, K: Ord + Copy> View<'a, K> {
         acc
     }
 
-    fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TieredHit>>) -> Result<()> {
-        if let Some(i) = keys.windows(2).position(|w| w[0] > w[1]) {
-            return Err(Error::UnsortedBatch { index: i });
+    fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TierPlace>>) -> Result<()> {
+        let mut base_hits = vec![None; keys.len()];
+        match self.base {
+            Some(f) => f.search_sorted_batch(keys, &mut base_hits)?,
+            None => {
+                if let Some(index) = keys.windows(2).position(|w| w[0] > w[1]) {
+                    return Err(Error::UnsortedBatch { index });
+                }
+            }
         }
-        let mut base_hits: Vec<Option<(usize, u64)>> = Vec::new();
-        if let Some(f) = self.base {
-            f.search_sorted_batch(keys, &mut base_hits)?;
-        } else {
-            base_hits.resize(keys.len(), None);
-        }
+        let buffered = !(self.frozen.is_empty() && self.mem.is_empty());
         out.clear();
-        for (i, &key) in keys.iter().enumerate() {
-            let hit = match self.buffer_lookup(key) {
-                Some(false) => None,
-                Some(true) => Some(TierPlace::Buffer),
-                None => base_hits[i].map(|(shard, position)| TierPlace::Shard { shard, position }),
+        out.extend(keys.iter().zip(base_hits).map(|(&key, hit)| {
+            let decided = if buffered {
+                self.buffer_lookup(key)
+            } else {
+                None
             };
-            out.push(hit.map(|place| TieredHit {
-                rank: self.count_le(key),
-                place,
-            }));
-        }
+            match decided {
+                Some(live) => live.then_some(TierPlace::Buffer),
+                None => hit.map(|(shard, position)| TierPlace::Shard { shard, position }),
+            }
+        }));
         Ok(())
     }
 
@@ -930,7 +936,9 @@ impl<K: Ord + Copy> TieredSnapshot<K> {
         self.view().contains(key)
     }
 
-    /// Locates a live key: engine-wide rank plus the serving tier.
+    /// Locates a live key: [`TieredForest::find`]'s place plus the
+    /// engine-wide rank (a second descent of the base shard, and a
+    /// search of every buffer).
     #[must_use]
     pub fn locate(&self, key: K) -> Option<TieredHit> {
         self.view().locate(key)
@@ -992,12 +1000,15 @@ impl<K: Ord + Copy> TieredSnapshot<K> {
         self.view().rank_checksum(probes)
     }
 
-    /// Searches an ascending probe batch across all tiers; one entry
-    /// per probe.
+    /// Searches an ascending probe batch across all tiers: `out` gets
+    /// what [`TieredForest::find`] answers for each probe, in probe
+    /// order. The base answers through [`Forest::search_sorted_batch`]
+    /// (shared-prefix descents on each shard's fast plane); the buffers
+    /// are probed only while they hold entries. No rank is computed.
     ///
     /// # Errors
     /// [`Error::UnsortedBatch`] on a descending adjacent probe pair.
-    pub fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TieredHit>>) -> Result<()> {
+    pub fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TierPlace>>) -> Result<()> {
         self.view().search_sorted_batch(keys, out)
     }
 
@@ -1880,7 +1891,31 @@ impl<K: FixedKey> TieredForest<K> {
         self.view_query(|v| v.contains(key))
     }
 
-    /// Locates a live key: engine-wide rank plus the serving tier.
+    /// The tier holding live `key`, without computing its rank: the
+    /// buffers decide first, then one fast-plane descent of the routed
+    /// base shard. `None` for a miss.
+    #[must_use]
+    pub fn find(&self, key: K) -> Option<TierPlace> {
+        self.view_query(|v| v.find(key))
+    }
+
+    /// [`TieredForest::find`] for a whole batch under one read lock,
+    /// behind the quarantine gate: `emit` receives one answer per
+    /// probe, in probe order — [`Error::ShardUnavailable`] for a probe
+    /// routed to a quarantined base shard (as
+    /// [`TieredForest::check_available`] answers, buffered keys
+    /// included), otherwise the probe's place.
+    pub fn find_batch(&self, keys: &[K], mut emit: impl FnMut(Result<Option<TierPlace>>)) {
+        self.view_query(|v| {
+            for &k in keys {
+                emit(v.find_available(k));
+            }
+        });
+    }
+
+    /// Locates a live key: [`TieredForest::find`] plus the engine-wide
+    /// rank (a second descent of the base shard, and a search of every
+    /// buffer).
     #[must_use]
     pub fn locate(&self, key: K) -> Option<TieredHit> {
         self.view_query(|v| v.locate(key))
@@ -1942,12 +1977,16 @@ impl<K: FixedKey> TieredForest<K> {
         self.view_query(|v| v.rank_checksum(probes))
     }
 
-    /// Searches an ascending probe batch across all tiers; `out` gets
-    /// one entry per probe.
+    /// Searches an ascending probe batch across all tiers under one
+    /// read lock: `out` gets what [`TieredForest::find`] answers for
+    /// each probe, in probe order. The base answers through
+    /// [`Forest::search_sorted_batch`] (shared-prefix descents on each
+    /// shard's fast plane); the buffers are probed only while they hold
+    /// entries. No rank is computed.
     ///
     /// # Errors
     /// [`Error::UnsortedBatch`] on a descending adjacent probe pair.
-    pub fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TieredHit>>) -> Result<()> {
+    pub fn search_sorted_batch(&self, keys: &[K], out: &mut Vec<Option<TierPlace>>) -> Result<()> {
         self.view_query(|v| v.search_sorted_batch(keys, out))
     }
 
@@ -2169,8 +2208,9 @@ mod tests {
         snap.search_sorted_batch(&probes, &mut hits).unwrap();
         for (&p, hit) in probes.iter().zip(&hits) {
             assert_eq!(hit.is_some(), oracle.contains(&p), "batch({p})");
-            if let Some(h) = hit {
-                assert_eq!(snap.select(h.rank), Some(p), "batch rank({p})");
+            assert_eq!(*hit, snap.locate(p).map(|h| h.place), "batch place({p})");
+            if hit.is_some() {
+                assert_eq!(snap.select(snap.rank(p) + 1), Some(p), "batch rank({p})");
             }
         }
         assert_eq!(

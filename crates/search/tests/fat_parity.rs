@@ -3,8 +3,9 @@
 //! index-only storages of the same chunked positions, and the mapped
 //! backend serving the heap tree's file bytes. The fat kernels descend
 //! one chunk per level, the reference walk one node per level; results,
-//! chunk-granular traces, checksums, interleaved batches and bound
-//! ranks must still be bit-identical.
+//! chunk-granular traces, checksums, interleaved batches, sorted
+//! batches (which walk the binary reference plane) and bound ranks must
+//! still be bit-identical.
 //!
 //! These live in their own binary because `kernel_parity.rs` flips the
 //! process-wide SIMD rank dispatch and relies on no other test there
@@ -16,6 +17,7 @@ use cobtree_core::fat::FatLayout;
 use cobtree_search::DescriptorKind;
 use parity::{
     all_backends, check_bounds, check_checksum, check_interleaved, check_point_and_trace,
+    check_sorted_batch,
 };
 use proptest::prelude::*;
 
@@ -63,6 +65,19 @@ proptest! {
         let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
         for (name, tree) in all_backends(layout, &keys, &[DescriptorKind::Auto]) {
             check_interleaved(&format!("{layout}/{name}"), &tree, &probes)?;
+        }
+    }
+
+    #[test]
+    fn fat_sorted_batch_matches_reference_walk(
+        layout in arb_fat(),
+        n in 1u64..=200,
+        mult in 1u64..32,
+        probes in proptest::collection::vec(0u64..8_000, 48),
+    ) {
+        let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
+        for (name, tree) in all_backends(layout, &keys, &[DescriptorKind::Auto]) {
+            check_sorted_batch(&format!("{layout}/{name}"), &tree, &keys, &probes)?;
         }
     }
 

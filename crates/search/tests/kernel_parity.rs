@@ -4,8 +4,9 @@
 //! every storage backend (explicit, implicit, index-only, and the
 //! mapped backend opened from the implicit tree's file image, both by
 //! layout name and as a position table), including supremum-padded
-//! trees, and the interleaved kernel must agree at every width —
-//! including batches shorter than the width. The fat-node layouts run
+//! trees, the interleaved kernel must agree at every width —
+//! including batches shorter than the width — and the shared-prefix
+//! sorted batch must agree untraced and traced. The fat-node layouts run
 //! the same checks in `fat_parity.rs`, and here the fat-node plane is
 //! pinned SIMD-vs-scalar: the AVX2 rank-of-key kernels and the
 //! always-compiled scalar fallback must be bit-identical on every
@@ -19,6 +20,7 @@ use cobtree_search::kernel::{force_scalar_rank, simd_rank_enabled};
 use cobtree_search::{DescriptorKind, SearchBackend, Storage};
 use parity::{
     all_backends, check_bounds, check_checksum, check_interleaved, check_point_and_trace,
+    check_sorted_batch,
 };
 use proptest::prelude::*;
 
@@ -142,6 +144,19 @@ proptest! {
                 prop_assert_eq!(&simd_inter[i], &out, "{}/{} interleaved w={}", layout, storage, w);
             }
             force_scalar_rank(false);
+        }
+    }
+
+    #[test]
+    fn sorted_batch_matches_reference_walk(
+        layout in arb_named(),
+        n in 3u64..=180,
+        mult in 1u64..32,
+        probes in proptest::collection::vec(0u64..8_000, 48),
+    ) {
+        let keys: Vec<u64> = (1..=n).map(|k| k * mult).collect();
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            check_sorted_batch(&format!("{layout}/{name}"), &tree, &keys, &probes)?;
         }
     }
 

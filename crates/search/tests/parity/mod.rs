@@ -3,6 +3,7 @@
 //! (or, for bound ranks, to a sorted-vector oracle) on every backend
 //! whose planes the kernels run on.
 
+use cobtree_core::Error;
 use cobtree_search::{
     DescriptorKind, LayoutSource, SaveOptions, SearchBackend, SearchTree, Storage,
 };
@@ -146,5 +147,105 @@ pub fn check_bounds(
             p
         );
     }
+    Ok(())
+}
+
+/// The layout positions of the nodes a reference walk visits for
+/// `probe`, one per node: a descent over in-order rank intervals
+/// through the rank primitives, independent of every descent kernel.
+fn node_trace(tree: &SearchTree<u64>, probe: u64) -> Vec<u64> {
+    let mut visited = Vec::new();
+    // The subtree holding in-order ranks `lo..lo + size`.
+    let (mut lo, mut size) = (1u64, (1u64 << tree.height()) - 1);
+    while size > 0 {
+        size /= 2;
+        let r = lo + size;
+        visited.push(tree.position_of_rank(r).expect("rank inside the tree"));
+        match tree.key_at_rank(r) {
+            Some(k) if k == probe => break,
+            Some(k) if probe > k => lo = r + 1,
+            _ => {} // smaller, or padding (+∞): go left
+        }
+    }
+    visited
+}
+
+/// Sorted-batch parity: the shared-prefix batch answers exactly what
+/// per-probe `search_reference` answers, untraced and traced alike, on
+/// an ascending batch of hits, misses and equal adjacent probes, and on
+/// the empty batch; a descending pair answers `UnsortedBatch` at its
+/// index. On a dense batch (every stored key and its successor) the
+/// traced batch records, per probe, the probe's reference path minus
+/// the prefix it shares with the previous probe's path — so it fetches
+/// fewer nodes than the probes' concatenated `search_traced` visits.
+pub fn check_sorted_batch(
+    name: &str,
+    tree: &SearchTree<u64>,
+    keys: &[u64],
+    probes: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut batch: Vec<u64> = probes
+        .iter()
+        .chain(probes.iter().step_by(4))
+        .chain(keys)
+        .copied()
+        .collect();
+    batch.sort_unstable();
+    let expect: Vec<Option<u64>> = batch.iter().map(|&p| tree.search_reference(p)).collect();
+    let (mut fast, mut traced, mut visited) = (Vec::new(), Vec::new(), Vec::new());
+    let sorted = tree.search_sorted_batch(&batch, &mut fast);
+    prop_assert_eq!(sorted, Ok(()), "{}", name);
+    prop_assert_eq!(&fast, &expect, "{} untraced", name);
+    let sorted = tree.search_sorted_batch_traced(&batch, &mut traced, &mut visited);
+    prop_assert_eq!(sorted, Ok(()), "{}", name);
+    prop_assert_eq!(&traced, &expect, "{} traced", name);
+
+    visited.clear();
+    prop_assert_eq!(tree.search_sorted_batch(&[], &mut fast), Ok(()));
+    prop_assert!(fast.is_empty(), "{} empty batch", name);
+    prop_assert_eq!(
+        tree.search_sorted_batch_traced(&[], &mut traced, &mut visited),
+        Ok(())
+    );
+    prop_assert!(traced.is_empty() && visited.is_empty(), "{} empty", name);
+
+    for descending in [&[5u64, 3][..], &[1, 5, 3]] {
+        let index = descending.len() - 2;
+        prop_assert_eq!(
+            tree.search_sorted_batch(descending, &mut fast),
+            Err(Error::UnsortedBatch { index }),
+            "{} {:?}",
+            name,
+            descending
+        );
+        prop_assert_eq!(
+            tree.search_sorted_batch_traced(descending, &mut traced, &mut visited),
+            Err(Error::UnsortedBatch { index }),
+            "{} traced {:?}",
+            name,
+            descending
+        );
+    }
+
+    let dense: Vec<u64> = keys.iter().flat_map(|&k| [k, k + 1]).collect();
+    visited.clear();
+    let sorted = tree.search_sorted_batch_traced(&dense, &mut traced, &mut visited);
+    prop_assert_eq!(sorted, Ok(()), "{}", name);
+    let (mut expect, mut prev, mut independent) = (Vec::new(), Vec::new(), Vec::new());
+    for &p in &dense {
+        let path = node_trace(tree, p);
+        let shared = path.iter().zip(&prev).take_while(|(a, b)| a == b).count();
+        expect.extend(&path[shared..]);
+        prev = path;
+        tree.search_traced(p, &mut independent);
+    }
+    prop_assert_eq!(&visited, &expect, "{} batch trace", name);
+    prop_assert!(
+        visited.len() < independent.len(),
+        "{}: batch fetched {} nodes, independent probes {}",
+        name,
+        visited.len(),
+        independent.len()
+    );
     Ok(())
 }

@@ -4,6 +4,11 @@
 //! [`TieredForest`] write path — answering every protocol op with the
 //! exact same semantics as the in-process API (the parity tests hold
 //! the server to bit-identical answers).
+//!
+//! Point reads (`GET`, `BATCH`) compute no rank on any engine: a base
+//! hit is routed to its shard and found by that shard's fast-plane
+//! descent (the tiered engine probes its buffers first). Ranks are
+//! computed only for `RANK`, `SELECT`, the bounds and ranges.
 
 use crate::planner::AdaptiveEngine;
 use cobtree_core::io::RealIo;
@@ -119,20 +124,7 @@ impl ServeEngine {
                 a.sampler().observe(&f, key);
                 forest_get(&f, key)
             }
-            ServeEngine::Tiered(t) => match t.locate(key) {
-                Some(hit) => Reply::Hit {
-                    found: true,
-                    shard: match hit.place {
-                        TierPlace::Shard { shard, .. } => shard as u32,
-                        TierPlace::Buffer => BUFFER_SHARD,
-                    },
-                    position: match hit.place {
-                        TierPlace::Shard { position, .. } => position,
-                        TierPlace::Buffer => 0,
-                    },
-                },
-                None => MISS,
-            },
+            ServeEngine::Tiered(t) => hit_reply(t.find(key).map(tier_coords)),
         })
     }
 
@@ -140,18 +132,25 @@ impl ServeEngine {
     /// worker-affinity hot path. On the immutable forest this runs the
     /// serial interleaved descent kernel
     /// ([`Forest::search_batch_interleaved`]) with `width` lookups in
-    /// flight; the tiered engine must merge mutable tiers under its
-    /// read lock, so it resolves per key. `out` gets one `Hit` reply
-    /// per probe, in probe order.
+    /// flight. The tiered engine resolves the whole batch under one
+    /// tier read lock ([`TieredForest::find_batch`]): buffers first,
+    /// then one fast-plane descent per base probe, with the quarantine
+    /// check made per probe under the same lock. `out` gets one `Hit`
+    /// reply per probe, in probe order; probes routed to a quarantined
+    /// shard answer `Unavail`.
     pub fn get_batch(&self, keys: &[u64], width: usize, out: &mut Vec<EngineResult>) {
         out.clear();
-        if self.any_quarantined() {
+        match self {
+            ServeEngine::Tiered(t) => t.find_batch(keys, |found| {
+                out.push(
+                    found
+                        .map(|place| hit_reply(place.map(tier_coords)))
+                        .map_err(|_| Status::Unavail),
+                );
+            }),
             // Degraded path: resolve per key so only probes routed to
             // the quarantined shard answer `Unavail`.
-            out.extend(keys.iter().map(|&k| self.get(k)));
-            return;
-        }
-        match self {
+            _ if self.any_quarantined() => out.extend(keys.iter().map(|&k| self.get(k))),
             ServeEngine::Forest(f) => forest_get_batch(f, keys, width, out),
             ServeEngine::Adaptive(a) => {
                 let f = a.snapshot();
@@ -159,9 +158,6 @@ impl ServeEngine {
                     a.sampler().observe(&f, k);
                 }
                 forest_get_batch(&f, keys, width, out);
-            }
-            ServeEngine::Tiered(_) => {
-                out.extend(keys.iter().map(|&k| self.get(k)));
             }
         }
     }
@@ -289,21 +285,7 @@ impl ServeEngine {
                 let mut out = Vec::new();
                 t.search_sorted_batch(keys, &mut out)
                     .map_err(|_| Status::BadRequest)?;
-                hits.extend(out.into_iter().map(|h| match h {
-                    Some(hit) => match hit.place {
-                        TierPlace::Shard { shard, position } => BatchHit {
-                            found: true,
-                            shard: shard as u32,
-                            position,
-                        },
-                        TierPlace::Buffer => BatchHit {
-                            found: true,
-                            shard: BUFFER_SHARD,
-                            position: 0,
-                        },
-                    },
-                    None => BATCH_MISS,
-                }));
+                hits.extend(out.into_iter().map(|p| batch_hit(p.map(tier_coords))));
             }
         }
         Ok(Reply::Batch { hits })
@@ -399,29 +381,23 @@ impl ServeEngine {
     }
 }
 
-/// `Forest::locate` → the protocol's `Hit` reply.
+/// A forest point lookup — `route` plus the shard's fast-plane
+/// `search`, one descent — as the protocol's `Hit` reply.
 fn forest_get(f: &Forest<u64>, key: u64) -> Reply {
-    match f.locate(key) {
-        Some(hit) => Reply::Hit {
-            found: true,
-            shard: hit.shard as u32,
-            position: hit.position,
-        },
-        None => MISS,
-    }
+    hit_reply(
+        f.route(key)
+            .and_then(|(shard, tree)| Some((shard as u32, tree.search(key)?))),
+    )
 }
 
 /// The interleaved-kernel batch path shared by the forest engines.
 fn forest_get_batch(f: &Forest<u64>, keys: &[u64], width: usize, out: &mut Vec<EngineResult>) {
     let mut hits = Vec::new();
     f.search_batch_interleaved(keys, width, &mut hits);
-    out.extend(hits.into_iter().map(|h| match h {
-        Some((shard, position)) => Ok(Reply::Hit {
-            found: true,
-            shard: shard as u32,
-            position,
-        }),
-        None => Ok(MISS),
+    out.extend(hits.into_iter().map(|h| {
+        Ok(hit_reply(
+            h.map(|(shard, position)| (shard as u32, position)),
+        ))
     }));
 }
 
@@ -434,30 +410,42 @@ fn forest_sorted_batch(
     let mut out = Vec::new();
     f.search_sorted_batch(keys, &mut out)
         .map_err(|_| Status::BadRequest)?;
-    hits.extend(out.into_iter().map(|h| match h {
-        Some((shard, position)) => BatchHit {
-            found: true,
-            shard: shard as u32,
-            position,
-        },
-        None => BATCH_MISS,
-    }));
+    hits.extend(
+        out.into_iter()
+            .map(|h| batch_hit(h.map(|(shard, position)| (shard as u32, position)))),
+    );
     Ok(())
 }
 
-/// The not-found `Hit` reply (found = false, zeroed coordinates).
-const MISS: Reply = Reply::Hit {
-    found: false,
-    shard: 0,
-    position: 0,
-};
+/// The wire coordinates `(shard, position)` of a tiered hit: buffer
+/// hits report [`BUFFER_SHARD`] and position 0.
+fn tier_coords(place: TierPlace) -> (u32, u64) {
+    match place {
+        TierPlace::Shard { shard, position } => (shard as u32, position),
+        TierPlace::Buffer => (BUFFER_SHARD, 0),
+    }
+}
 
-/// The not-found batch entry.
-const BATCH_MISS: BatchHit = BatchHit {
-    found: false,
-    shard: 0,
-    position: 0,
-};
+/// A point answer as the protocol's `Hit` reply: the `(shard,
+/// position)` of a hit, zeroed coordinates for a miss.
+fn hit_reply(hit: Option<(u32, u64)>) -> Reply {
+    let (shard, position) = hit.unwrap_or((0, 0));
+    Reply::Hit {
+        found: hit.is_some(),
+        shard,
+        position,
+    }
+}
+
+/// [`hit_reply`] as a sorted-batch entry.
+fn batch_hit(hit: Option<(u32, u64)>) -> BatchHit {
+    let (shard, position) = hit.unwrap_or((0, 0));
+    BatchHit {
+        found: hit.is_some(),
+        shard,
+        position,
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -483,14 +471,7 @@ mod tests {
             unreachable!()
         };
         for k in [0u64, 1, 2, 499, 500, 1000, 1001, 5000] {
-            let expect = match f.locate(k) {
-                Some(h) => Reply::Hit {
-                    found: true,
-                    shard: h.shard as u32,
-                    position: h.position,
-                },
-                None => MISS,
-            };
+            let expect = hit_reply(f.locate(k).map(|h| (h.shard as u32, h.position)));
             assert_eq!(engine.get(k), Ok(expect), "get({k})");
         }
         assert_eq!(engine.rank(11), Ok(Reply::Rank { rank: f.rank(11) }));

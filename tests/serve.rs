@@ -6,7 +6,7 @@
 use cobtree::core::protocol::{BatchHit, Reply, Request, Status, BUFFER_SHARD};
 use cobtree::core::NamedLayout;
 use cobtree::serve::{Client, ServeEngine, Server, ServerConfig};
-use cobtree::{Forest, Storage, TieredForest};
+use cobtree::{Forest, Storage, TierPlace, TieredForest};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -209,25 +209,44 @@ fn multi_worker_and_unix_socket_agree_with_direct_calls() {
 
 /// The tiered engine over the wire: writes land, buffer hits are
 /// flagged with `BUFFER_SHARD`, and every answer matches the direct
-/// `TieredForest` API.
+/// `TieredForest` API. With buffered inserts and tombstoned base keys
+/// pending on a 2-worker server, every `GET` — through both the
+/// worker-local and the cross-worker handoff path — and one sorted
+/// `BATCH` answer exactly the place `TieredForest::locate` reports.
 #[test]
 fn tiered_engine_round_trip_with_writes() {
     let tiered: TieredForest<u64> = TieredForest::builder()
         .layout(NamedLayout::MinWep)
-        .shards(2)
+        .shards(4)
         .background(false)
         .keys((1..=500u64).map(|k| k * 2))
         .build()
         .expect("build tiered");
     let tiered = Arc::new(tiered);
     let engine = ServeEngine::Tiered(Arc::clone(&tiered));
-    let server = Server::start(engine, "tcp:127.0.0.1:0", one_worker()).expect("start");
-    let mut client = Client::connect(&server.addr().to_spec()).expect("connect");
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(engine, "tcp:127.0.0.1:0", config).expect("start");
+    let addr = server.addr().to_spec();
+    // One connection per worker (the acceptor deals them round-robin).
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(&addr).expect("connect"))
+        .collect();
+    let client = &mut clients[0];
 
     // Insert odd keys; they hit in the buffer tier.
     for key in (1..100u64).step_by(2) {
         assert_eq!(
             client.call_ok(&Request::Insert { key }).expect("insert"),
+            Reply::Applied { applied: true }
+        );
+    }
+    // Remove base keys; they stay in the shards behind tombstones.
+    for key in (200..=300u64).step_by(10) {
+        assert_eq!(
+            client.call_ok(&Request::Remove { key }).expect("remove"),
             Reply::Applied { applied: true }
         );
     }
@@ -237,6 +256,59 @@ fn tiered_engine_round_trip_with_writes() {
     };
     assert!(found);
     assert_eq!(shard, BUFFER_SHARD, "memtable hit is flagged as buffer");
+
+    // Hits, misses, buffer hits and tombstoned keys, each answered as
+    // `locate` places it. The place is pinned to an oracle independent
+    // of the rank-free read path: the buffers' verdict, else the base
+    // forest's rank-based `locate`.
+    let snap = tiered.snapshot();
+    let expect = |key: u64| {
+        let coords = match snap.buffer_lookup(key) {
+            Some(live) => live.then_some((BUFFER_SHARD, 0)),
+            None => snap
+                .base()
+                .and_then(|f| f.locate(key))
+                .map(|h| (h.shard as u32, h.position)),
+        };
+        let place = tiered.locate(key).map(|h| match h.place {
+            TierPlace::Shard { shard, position } => (shard as u32, position),
+            TierPlace::Buffer => (BUFFER_SHARD, 0),
+        });
+        assert_eq!(place, coords, "locate {key}");
+        let (shard, position) = coords.unwrap_or((0, 0));
+        (coords.is_some(), shard, position)
+    };
+    let probes: Vec<u64> = (0..=1010u64).collect();
+    for &key in &probes {
+        for client in &mut clients {
+            let Reply::Hit {
+                found,
+                shard,
+                position,
+            } = client.call_ok(&Request::Get { key }).expect("get")
+            else {
+                panic!("hit shape")
+            };
+            assert_eq!((found, shard, position), expect(key), "get {key}");
+        }
+    }
+    let Reply::Batch { hits } = clients[1]
+        .call_ok(&Request::Batch {
+            keys: probes.clone(),
+        })
+        .expect("batch")
+    else {
+        panic!("batch shape")
+    };
+    assert_eq!(hits.len(), probes.len());
+    for (&key, hit) in probes.iter().zip(&hits) {
+        assert_eq!(
+            (hit.found, hit.shard, hit.position),
+            expect(key),
+            "batch {key}"
+        );
+    }
+    let client = &mut clients[0];
 
     // Rank/bound answers match the engine mid-write.
     for key in [0u64, 1, 50, 51, 52, 997, 1000, 1001] {
@@ -282,6 +354,7 @@ fn tiered_engine_round_trip_with_writes() {
 
     let stats = server.shutdown().expect("shutdown");
     assert_eq!(stats.requests, stats.responses);
+    assert!(stats.handoffs > 0, "2 workers over 4 shards must hand off");
 }
 
 /// The adaptive engine over the wire: skewed traffic is sampled, a

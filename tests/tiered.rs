@@ -74,6 +74,16 @@ fn assert_matches_oracle(engine: &TieredForest<u64>, oracle: &BTreeSet<u64>, tag
         if let Some(hit) = hit {
             assert_eq!(hit.rank, le, "{tag}: locate({p}).rank");
         }
+        // The rank-free lookups answer locate's place.
+        let place = hit.map(|h| h.place);
+        assert_eq!(engine.find(p), place, "{tag}: find({p})");
+    }
+    let mut found = Vec::new();
+    engine.find_batch(&probes, |f| found.push(f));
+    assert_eq!(found.len(), probes.len(), "{tag}: find_batch");
+    for (&p, f) in probes.iter().zip(&found) {
+        let place = engine.locate(p).map(|h| h.place);
+        assert_eq!(f.as_ref().ok(), Some(&place), "{tag}: find_batch({p})");
     }
 
     // select is the exact inverse of the dense rank sequence.
@@ -131,8 +141,11 @@ fn assert_matches_oracle(engine: &TieredForest<u64>, oracle: &BTreeSet<u64>, tag
     engine
         .search_sorted_batch(&batch, &mut out)
         .expect("sorted batch");
+    assert_eq!(out.len(), batch.len(), "{tag}: batch");
     for (&p, hit) in batch.iter().zip(&out) {
         assert_eq!(hit.is_some(), oracle.contains(&p), "{tag}: batch({p})");
+        let place = engine.locate(p).map(|h| h.place);
+        assert_eq!(*hit, place, "{tag}: batch place({p})");
     }
 }
 
