@@ -857,10 +857,16 @@ impl<K: Ord + Copy> Forest<K> {
     }
 
     /// Validates that `keys` is ascending, then splits it at the shard
-    /// fences: `(dense shard, probe index range)` pairs covering every
-    /// probe some shard could contain. Probes sorting below every fence
-    /// are absent from the result.
-    fn shard_cuts(&self, keys: &[K]) -> Result<Vec<(usize, std::ops::Range<usize>)>> {
+    /// fences: `(dense shard, probe index range)` pairs, ascending and
+    /// non-empty, covering every probe some shard could contain. Probes
+    /// sorting below every fence are absent from the result. The ranges
+    /// index `keys` itself, so a caller that descends the runs somewhere
+    /// else (another thread, another worker) can put each run's answers
+    /// back in probe order.
+    ///
+    /// # Errors
+    /// [`Error::UnsortedBatch`] on a descending adjacent probe pair.
+    pub fn shard_cuts(&self, keys: &[K]) -> Result<Vec<(usize, std::ops::Range<usize>)>> {
         if let Some(i) = keys.windows(2).position(|w| w[0] > w[1]) {
             return Err(Error::UnsortedBatch { index: i });
         }

@@ -918,6 +918,14 @@ impl<K: Ord + Copy> TieredSnapshot<K> {
         self.view().buffer_lookup(key)
     }
 
+    /// Entries buffered in the snapshot's mutable tiers (memtable plus
+    /// frozen buffer); while it is 0 no probe needs a
+    /// [`TieredSnapshot::buffer_lookup`].
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.frozen.entries() + self.mem.entries()
+    }
+
     /// Live keys in the snapshot.
     #[must_use]
     pub fn len(&self) -> u64 {
@@ -1038,7 +1046,7 @@ impl<K: Ord + Copy> std::fmt::Debug for TieredSnapshot<K> {
         f.debug_struct("TieredSnapshot")
             .field("epoch", &self.epoch)
             .field("len", &self.len())
-            .field("buffered", &(self.frozen.entries() + self.mem.entries()))
+            .field("buffered", &self.buffered())
             .finish()
     }
 }

@@ -9,12 +9,20 @@
 //! hit is routed to its shard and found by that shard's fast-plane
 //! descent (the tiered engine probes its buffers first). Ranks are
 //! computed only for `RANK`, `SELECT`, the bounds and ranges.
+//!
+//! A sorted batch has one path in three steps, so a server can run its
+//! parts on different threads: `ServeEngine::plan_batch` checks the
+//! batch, pins one read view and cuts the probes at the shard fences;
+//! `BatchPlan::descend` walks one shard run; `BatchPlan::assemble`
+//! puts the runs' answers together into the reply.
+//! [`ServeEngine::sorted_batch`] runs all three on the calling thread.
 
 use crate::planner::AdaptiveEngine;
 use cobtree_core::io::RealIo;
 use cobtree_core::protocol::{BatchHit, Reply, Status, BUFFER_SHARD, MAX_RANGE_KEYS};
-use cobtree_search::tiered::{TierPlace, TieredForest};
+use cobtree_search::tiered::{TierPlace, TieredForest, TieredSnapshot};
 use cobtree_search::{Forest, ScrubReport};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The store a server serves: reads go to whichever engine is mounted,
@@ -261,34 +269,55 @@ impl ServeEngine {
 
     /// The sorted-batch protocol op: ascending probes answered like
     /// per-probe `get`s. Tiered hits coming from the buffer tiers
-    /// report [`BUFFER_SHARD`].
+    /// report [`BUFFER_SHARD`]. This is the server's batch path run on
+    /// the calling thread: `ServeEngine::plan_batch`, every part's
+    /// `BatchPlan::descend`, then `BatchPlan::assemble`. A server
+    /// runs the same three steps with each part descended by the worker
+    /// that owns its shard.
     pub fn sorted_batch(&self, keys: &[u64]) -> EngineResult {
-        if self.any_quarantined() {
-            // The batch reply has no per-hit status: if any probe
-            // routes to a quarantined shard the whole batch answers
-            // `Unavail` (probes clear of it still serve).
-            for &k in keys {
-                self.check_key(k)?;
-            }
-        }
-        let mut hits = Vec::with_capacity(keys.len());
-        match self {
-            ServeEngine::Forest(f) => forest_sorted_batch(f, keys, &mut hits)?,
+        let plan = self.plan_batch(keys.to_vec())?;
+        let found: Vec<_> = (0..plan.parts()).map(|part| plan.descend(part)).collect();
+        Ok(plan.assemble(&found))
+    }
+
+    /// Plans a sorted batch: pins one read view for the whole batch and
+    /// cuts the probes at that view's shard fences
+    /// ([`Forest::shard_cuts`]). The view is the forest (`Arc`) on the
+    /// forest and adaptive engines, whose sampler is fed every probe
+    /// here, and a [`TieredSnapshot`] on the tiered engine, so every
+    /// part reads the same base and the same buffers even if a flush,
+    /// compaction or `REOPT` swap lands while the parts are out.
+    ///
+    /// `Err(Status::BadRequest)` on a descending probe pair;
+    /// `Err(Status::Unavail)` if any probe routes to a quarantined shard
+    /// (the batch reply has no per-hit status, so probes clear of it
+    /// only serve in a batch that avoids it).
+    pub(crate) fn plan_batch(&self, keys: Vec<u64>) -> Result<BatchPlan, Status> {
+        let view = match self {
+            ServeEngine::Forest(f) => BatchView::Forest(Arc::clone(f)),
             ServeEngine::Adaptive(a) => {
                 let f = a.snapshot();
-                for &k in keys {
+                for &k in &keys {
                     a.sampler().observe(&f, k);
                 }
-                forest_sorted_batch(&f, keys, &mut hits)?;
+                BatchView::Forest(f)
             }
-            ServeEngine::Tiered(t) => {
-                let mut out = Vec::new();
-                t.search_sorted_batch(keys, &mut out)
-                    .map_err(|_| Status::BadRequest)?;
-                hits.extend(out.into_iter().map(|p| batch_hit(p.map(tier_coords))));
+            ServeEngine::Tiered(t) => BatchView::Tiered(t.snapshot()),
+        };
+        let parts = match view.base() {
+            Some(base) => {
+                let parts = base.shard_cuts(&keys).map_err(|_| Status::BadRequest)?;
+                if parts.iter().any(|&(shard, _)| base.is_quarantined(shard)) {
+                    return Err(Status::Unavail);
+                }
+                parts
             }
-        }
-        Ok(Reply::Batch { hits })
+            // No base yet (an empty tiered store): every probe is
+            // decided by the buffers.
+            None if keys.is_sorted() => Vec::new(),
+            None => return Err(Status::BadRequest),
+        };
+        Ok(BatchPlan { keys, view, parts })
     }
 
     /// Insert (`remove == false`) or remove one key. `Unsupported` on
@@ -401,20 +430,91 @@ fn forest_get_batch(f: &Forest<u64>, keys: &[u64], width: usize, out: &mut Vec<E
     }));
 }
 
-/// The sorted-batch path shared by the forest engines.
-fn forest_sorted_batch(
-    f: &Forest<u64>,
-    keys: &[u64],
-    hits: &mut Vec<BatchHit>,
-) -> Result<(), Status> {
-    let mut out = Vec::new();
-    f.search_sorted_batch(keys, &mut out)
-        .map_err(|_| Status::BadRequest)?;
-    hits.extend(
-        out.into_iter()
-            .map(|h| batch_hit(h.map(|(shard, position)| (shard as u32, position)))),
-    );
-    Ok(())
+/// The read view a [`BatchPlan`] pins: every part of one batch descends
+/// this view and no other.
+enum BatchView {
+    /// The forest and adaptive engines' forest.
+    Forest(Arc<Forest<u64>>),
+    /// The tiered engine's base and buffers at one instant.
+    Tiered(TieredSnapshot<u64>),
+}
+
+impl BatchView {
+    /// The shards the parts descend (`None`: a tiered store with no
+    /// base yet).
+    fn base(&self) -> Option<&Forest<u64>> {
+        match self {
+            BatchView::Forest(f) => Some(f),
+            BatchView::Tiered(snap) => snap.base(),
+        }
+    }
+}
+
+/// A validated sorted batch over one pinned read view, cut into one
+/// part per shard run (`ServeEngine::plan_batch`). Each part is
+/// descended on its own (`BatchPlan::descend`, by whichever thread
+/// holds the plan) and the answers are put together once
+/// (`BatchPlan::assemble`).
+pub(crate) struct BatchPlan {
+    keys: Vec<u64>,
+    view: BatchView,
+    /// `(dense shard, probe index range)` per shard run, ascending.
+    parts: Vec<(usize, Range<usize>)>,
+}
+
+impl BatchPlan {
+    /// Number of parts (shard runs).
+    pub(crate) fn parts(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The dense shard part `part` descends, for worker ownership.
+    pub(crate) fn shard(&self, part: usize) -> usize {
+        self.parts[part].0
+    }
+
+    /// Part descent: the shard's shared-prefix sorted walk over the
+    /// part's probes; the in-shard layout position of each hit, `None`
+    /// for a miss.
+    pub(crate) fn descend(&self, part: usize) -> Vec<Option<u64>> {
+        let (shard, range) = &self.parts[part];
+        let tree = self
+            .view
+            .base()
+            .and_then(|base| base.shard(*shard))
+            .expect("a part's shard is in the view it was cut from");
+        let mut found = Vec::with_capacity(range.len());
+        tree.search_sorted_batch(&self.keys[range.clone()], &mut found)
+            .expect("runs of an ascending batch are ascending");
+        found
+    }
+
+    /// The assembler: the batch reply from every part's
+    /// `BatchPlan::descend` answer, `found[part]`. On a tiered view
+    /// the buffers' verdict comes first, as in
+    /// [`TieredSnapshot::search_sorted_batch`]: a buffered insert is a
+    /// [`BUFFER_SHARD`] hit and a buffered tombstone a miss, whatever
+    /// the base says.
+    pub(crate) fn assemble(&self, found: &[Vec<Option<u64>>]) -> Reply {
+        let mut hits = vec![None; self.keys.len()];
+        for ((shard, range), found) in self.parts.iter().zip(found) {
+            for (hit, position) in hits[range.clone()].iter_mut().zip(found) {
+                *hit = position.map(|p| (*shard as u32, p));
+            }
+        }
+        if let BatchView::Tiered(snap) = &self.view {
+            if snap.buffered() > 0 {
+                for (hit, &key) in hits.iter_mut().zip(&self.keys) {
+                    if let Some(live) = snap.buffer_lookup(key) {
+                        *hit = live.then(|| tier_coords(TierPlace::Buffer));
+                    }
+                }
+            }
+        }
+        Reply::Batch {
+            hits: hits.into_iter().map(batch_hit).collect(),
+        }
+    }
 }
 
 /// The wire coordinates `(shard, position)` of a tiered hit: buffer
@@ -622,6 +722,60 @@ mod tests {
         assert_eq!(plain.adaptive_counters(), (0, 0, 0));
         assert_eq!(adaptive.write(7, false), Err(Status::Unsupported));
         assert_eq!(adaptive.flush(), Err(Status::Unsupported));
+    }
+
+    /// One read view per batch: writes and a flush that publishes a new
+    /// base between planning a batch and descending its parts leave the
+    /// batch's answer at the planned instant, buffers included; a batch
+    /// planned afterwards sees the writes.
+    #[test]
+    fn batch_plan_pins_one_read_view() {
+        let t: TieredForest<u64> = TieredForest::builder()
+            .layout(NamedLayout::MinWep)
+            .shards(3)
+            .memtable_entries(1 << 20)
+            .background(false)
+            .keys((1..=300u64).map(|k| k * 2))
+            .build()
+            .expect("tiered");
+        let t = Arc::new(t);
+        let engine = ServeEngine::Tiered(Arc::clone(&t));
+        // Buffered inserts (odd keys) and tombstones over base keys.
+        for k in (1..60u64).step_by(2) {
+            assert!(t.insert(k));
+        }
+        for k in (100..=200u64).step_by(10) {
+            assert!(t.remove(k));
+        }
+        // Probe `i` is key `i`, so the hits index by key.
+        let keys: Vec<u64> = (0..=610).collect();
+        let plan = engine.plan_batch(keys.clone()).expect("plan");
+        assert!(plan.parts() > 1);
+        let before = t.snapshot();
+        let mut places = Vec::new();
+        before
+            .search_sorted_batch(&keys, &mut places)
+            .expect("sorted");
+        let then: Vec<BatchHit> = places
+            .into_iter()
+            .map(|p| batch_hit(p.map(tier_coords)))
+            .collect();
+
+        let (born, dead) = (301u64, 400u64);
+        assert!(t.insert(born));
+        assert!(t.remove(dead));
+        assert_eq!(t.flush(), Ok(true));
+        assert!(t.epoch() > before.epoch(), "the flush published a base");
+
+        let found: Vec<_> = (0..plan.parts()).map(|part| plan.descend(part)).collect();
+        assert_eq!(plan.assemble(&found), Reply::Batch { hits: then.clone() });
+
+        let Ok(Reply::Batch { hits: now }) = engine.sorted_batch(&keys) else {
+            panic!("batch reply shape")
+        };
+        for key in [born, dead] {
+            assert_ne!(now[key as usize], then[key as usize], "written key {key}");
+        }
     }
 
     #[test]

@@ -15,7 +15,18 @@
 //! serial interleaved descent kernel
 //! ([`Forest::search_batch_interleaved`](cobtree_search::Forest::search_batch_interleaved)),
 //! so each shard is only ever walked by the core that keeps its hot
-//! nodes in cache. Every other opcode executes inline on the
+//! nodes in cache.
+//!
+//! A sorted `Batch` is scattered the same way and gathered into one
+//! reply. The connection's worker plans it
+//! (`ServeEngine::plan_batch`): one read view pinned for every part,
+//! the probes cut at its shard fences. It queues each shard run another
+//! worker owns on that worker's handoff queue, descends its own runs
+//! while those are in flight, and keeps the batch in a table of pending
+//! batches until the last part comes back. `Batch` never answers
+//! `BUSY`: a part the owner's queue refuses, and every part of a batch
+//! from a connection already at its in-flight cap, is descended by the
+//! connection's worker. Every other opcode executes inline on the
 //! connection's own worker.
 //!
 //! No thread sleeps on a timer. A worker whose iteration did no work
@@ -49,9 +60,10 @@
 //! Overload never buffers without bound:
 //!
 //! * a full handoff queue or a connection at its in-flight cap replies
-//!   [`Status::Busy`] immediately;
+//!   [`Status::Busy`] to a `Get` immediately;
 //! * a handed-off job past its deadline is shed with
-//!   [`Status::Timeout`] instead of being descended;
+//!   [`Status::Timeout`] instead of being descended (a shed batch part
+//!   makes its whole batch answer `TIMEOUT`);
 //! * a connection whose peer stops reading (write buffer stalled past
 //!   `write_stall_timeout`) is closed rather than allowed to wedge its
 //!   worker.
@@ -62,7 +74,7 @@
 //! while [`Server::abort`] kills the threads with work still queued,
 //! deliberately simulating a crash for the recovery tests.
 
-use crate::engine::ServeEngine;
+use crate::engine::{BatchPlan, ServeEngine};
 use crate::net::{Addr, NetListener, NetStream};
 use crate::wake::{PollFd, Wake, POLLIN, POLLOUT};
 use cobtree_core::protocol::{
@@ -124,14 +136,17 @@ pub struct ServerConfig {
     /// at 8 — beyond that loopback serving is accept-bound anyway).
     pub workers: usize,
     /// Max handed-off lookups a single connection may have in flight
-    /// before further `Get`s are refused with `BUSY`.
+    /// before further `Get`s are refused with `BUSY`. A batch waiting
+    /// on other workers counts once; a batch arriving at the cap is
+    /// answered by the connection's own worker.
     pub inflight_per_conn: usize,
     /// Capacity of each worker's bounded handoff queue; a full queue
-    /// refuses with `BUSY` instead of buffering.
+    /// refuses a `Get` with `BUSY` instead of buffering, and leaves a
+    /// batch part to the connection's own worker.
     pub handoff_queue: usize,
-    /// Deadline for handed-off lookups, measured from decode; jobs
-    /// past it are shed with `TIMEOUT`. Zero sheds every handoff —
-    /// degenerate, but deterministic for tests.
+    /// Deadline for handed-off lookups and batch parts, measured from
+    /// decode; jobs past it are shed with `TIMEOUT`. Zero sheds every
+    /// handoff — degenerate, but deterministic for tests.
     pub op_timeout: Duration,
     /// Interleave width for the batched descent kernel.
     pub batch_width: usize,
@@ -270,10 +285,26 @@ impl Counters {
 // Worker-to-worker messages
 // ---------------------------------------------------------------------
 
-/// A point lookup handed off to the worker that owns the key's shard.
+/// Work handed off to the worker that owns a shard.
 struct Job {
     /// Worker that owns the requesting connection.
     origin: usize,
+    /// Shed the job with `TIMEOUT` past this instant.
+    deadline: Instant,
+    task: Task,
+}
+
+/// What a [`Job`] asks the shard's owner to do.
+enum Task {
+    Get(Lookup),
+    /// One shard run of a batch pending on the origin worker; boxed so
+    /// a `Get` job stays as small as it was before batches were handed
+    /// off.
+    Part(Box<Part>),
+}
+
+/// A handed-off point lookup.
+struct Lookup {
     /// Connection id within the origin worker.
     conn: u64,
     /// Client request id to echo.
@@ -282,16 +313,43 @@ struct Job {
     key: u64,
     /// Decode time — latency is measured from here.
     t0: Instant,
-    /// Shed the job with `TIMEOUT` past this instant.
-    deadline: Instant,
+}
+
+/// One part of a [`PendingBatch`], descended by its shard's owner.
+struct Part {
+    /// Pending-batch id within the origin worker.
+    batch: u64,
+    /// Index of the part in `plan`.
+    index: usize,
+    plan: Arc<BatchPlan>,
 }
 
 /// A finished handoff travelling back to the origin worker.
-struct Done {
+enum Done {
+    Get(Lookup, std::result::Result<Reply, Status>),
+    /// A batch part's positions (`BatchPlan::descend`), or `None`
+    /// when the part was shed past its deadline.
+    Part {
+        batch: u64,
+        index: usize,
+        found: Option<Vec<Option<u64>>>,
+    },
+}
+
+/// A `BATCH` whose foreign parts are out on their owners' queues: the
+/// origin worker keeps it until the last part comes back, then writes
+/// the one reply.
+struct PendingBatch {
     conn: u64,
     req_id: u32,
     t0: Instant,
-    result: std::result::Result<Reply, Status>,
+    plan: Arc<BatchPlan>,
+    /// Each part's positions, in part order.
+    found: Vec<Vec<Option<u64>>>,
+    /// Parts not yet back.
+    outstanding: usize,
+    /// A part was shed: the batch answers `TIMEOUT`.
+    shed: bool,
 }
 
 /// One live connection, owned by exactly one worker.
@@ -302,7 +360,7 @@ struct Conn {
     out: Vec<u8>,
     /// Prefix of `out` already written to the socket.
     written: usize,
-    /// Handed-off lookups awaiting their `Done`.
+    /// Handed-off lookups and pending batches awaiting their `Done`s.
     inflight: usize,
     /// Peer sent EOF; close once in-flight work and writes finish.
     closing: bool,
@@ -361,6 +419,9 @@ struct Worker {
     done_tx: Vec<Sender<Done>>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
+    /// Batches with parts out on other workers, by id.
+    batches: HashMap<u64, PendingBatch>,
+    next_batch: u64,
     /// Whether the current iteration moved any bytes or jobs (after two
     /// idle iterations the worker blocks in `poll`).
     active: bool,
@@ -481,8 +542,9 @@ impl Worker {
     }
 
     /// Drains this worker's handoff queue and descends its own shards
-    /// for every still-live job, batched through the interleaved
-    /// kernel; then wakes each origin worker it sent a completion to.
+    /// for every still-live job: the lookups batched through the
+    /// interleaved kernel, then each batch part; then wakes each origin
+    /// worker it sent a completion to.
     fn serve_handoffs(&mut self) {
         let mut jobs: Vec<Job> = Vec::new();
         while jobs.len() < 4096 {
@@ -499,23 +561,35 @@ impl Worker {
             .queue_depth
             .fetch_sub(jobs.len() as u64, Ordering::Relaxed);
         let now = Instant::now();
-        let (expired, live): (Vec<Job>, Vec<Job>) =
-            jobs.into_iter().partition(|j| now > j.deadline);
+        let mut origins = vec![false; self.workers];
+        let mut lookups = Vec::new();
+        let mut parts = Vec::new();
+        for j in jobs {
+            origins[j.origin] = true;
+            let expired = now > j.deadline;
+            match j.task {
+                Task::Get(get) if expired => {
+                    let _ = self.done_tx[j.origin].send(Done::Get(get, Err(Status::Timeout)));
+                }
+                Task::Get(get) => lookups.push((j.origin, get)),
+                Task::Part(part) => parts.push((j.origin, expired, part)),
+            }
+        }
         let mut replies = Vec::new();
-        if !live.is_empty() {
-            let keys: Vec<u64> = live.iter().map(|j| j.key).collect();
+        if !lookups.is_empty() {
+            let keys: Vec<u64> = lookups.iter().map(|(_, get)| get.key).collect();
             self.engine
                 .get_batch(&keys, self.cfg.batch_width, &mut replies);
         }
-        let mut origins = vec![false; self.workers];
-        let expired = expired.into_iter().map(|j| (j, Err(Status::Timeout)));
-        for (j, result) in expired.chain(live.into_iter().zip(replies)) {
-            origins[j.origin] = true;
-            let _ = self.done_tx[j.origin].send(Done {
-                conn: j.conn,
-                req_id: j.req_id,
-                t0: j.t0,
-                result,
+        for ((origin, get), result) in lookups.into_iter().zip(replies) {
+            let _ = self.done_tx[origin].send(Done::Get(get, result));
+        }
+        for (origin, expired, part) in parts {
+            let found = (!expired).then(|| part.plan.descend(part.index));
+            let _ = self.done_tx[origin].send(Done::Part {
+                batch: part.batch,
+                index: part.index,
+                found,
             });
         }
         for (wake, _) in self.ctl.wakes.iter().zip(origins).filter(|(_, sent)| *sent) {
@@ -525,14 +599,59 @@ impl Worker {
 
     /// Books finished handoffs back onto their connections.
     fn apply_completions(&mut self) {
-        while let Ok(d) = self.done_rx.try_recv() {
+        while let Ok(done) = self.done_rx.try_recv() {
             self.active = true;
-            // The connection may have died while its lookup was queued
-            // elsewhere; the reply is then dropped on the floor.
-            if let Some(conn) = self.conns.get_mut(&d.conn) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-                finish(&self.stats, conn, d.req_id, Opcode::Get, d.t0, d.result);
+            match done {
+                Done::Get(get, result) => {
+                    // The connection may have died while its lookup was
+                    // queued elsewhere; the reply is then dropped on the
+                    // floor.
+                    if let Some(conn) = self.conns.get_mut(&get.conn) {
+                        conn.inflight = conn.inflight.saturating_sub(1);
+                        finish(&self.stats, conn, get.req_id, Opcode::Get, get.t0, result);
+                    }
+                }
+                Done::Part {
+                    batch,
+                    index,
+                    found,
+                } => self.complete_part(batch, index, found),
             }
+        }
+    }
+
+    /// Books one returned batch part; the last one writes the batch's
+    /// reply, `TIMEOUT` if any part was shed.
+    fn complete_part(&mut self, batch: u64, index: usize, found: Option<Vec<Option<u64>>>) {
+        let Some(pending) = self.batches.get_mut(&batch) else {
+            return;
+        };
+        match found {
+            Some(found) => pending.found[index] = found,
+            None => pending.shed = true,
+        }
+        pending.outstanding -= 1;
+        if pending.outstanding > 0 {
+            return;
+        }
+        let pending = self.batches.remove(&batch).expect("looked up above");
+        // As for a lookup, a connection that died meanwhile drops the
+        // reply.
+        if let Some(conn) = self.conns.get_mut(&pending.conn) {
+            conn.inflight = conn.inflight.saturating_sub(1);
+            let result = if pending.shed {
+                Err(Status::Timeout)
+            } else {
+                Ok(pending.plan.assemble(&pending.found))
+            };
+            finish(
+                &self.stats,
+                conn,
+                pending.req_id,
+                Opcode::Batch,
+                pending.t0,
+                result,
+            );
         }
     }
 
@@ -660,6 +779,7 @@ impl Worker {
         }
         match req {
             Request::Get { key } => self.dispatch_get(id, conn, req_id, key, t0, locals),
+            Request::Batch { keys } => self.dispatch_batch(id, conn, req_id, keys, t0),
             Request::Insert { key } | Request::Remove { key } => {
                 let remove = op == Opcode::Remove;
                 acks.push(WriteAck {
@@ -719,11 +839,13 @@ impl Worker {
         }
         let job = Job {
             origin: self.index,
-            conn: id,
-            req_id,
-            key,
-            t0,
             deadline: t0 + self.cfg.op_timeout,
+            task: Task::Get(Lookup {
+                conn: id,
+                req_id,
+                key,
+                t0,
+            }),
         };
         match self.handoff_tx[owner].try_send(job) {
             Ok(()) => {
@@ -755,6 +877,79 @@ impl Worker {
         }
     }
 
+    /// Scatters one sorted batch over its shard owners: plans it (one
+    /// pinned read view, cut at the shard fences), queues every part a
+    /// different worker owns on that worker's handoff queue, descends
+    /// the rest here while those are in flight, and parks the batch in
+    /// `batches` until the last part comes back. A part the owner's
+    /// queue refuses runs here instead, and a connection already at its
+    /// in-flight cap has the whole batch answered here, so `BATCH`
+    /// never answers `BUSY`.
+    fn dispatch_batch(
+        &mut self,
+        id: u64,
+        conn: &mut Conn,
+        req_id: u32,
+        keys: Vec<u64>,
+        t0: Instant,
+    ) {
+        let plan = match self.engine.plan_batch(keys) {
+            Ok(plan) => Arc::new(plan),
+            Err(status) => {
+                finish(&self.stats, conn, req_id, Opcode::Batch, t0, Err(status));
+                return;
+            }
+        };
+        let batch = self.next_batch;
+        let fan_out = conn.inflight < self.cfg.inflight_per_conn;
+        let mut outstanding = 0;
+        let mut local = Vec::new();
+        for index in 0..plan.parts() {
+            let owner = plan.shard(index) % self.workers;
+            if fan_out && owner != self.index {
+                let job = Job {
+                    origin: self.index,
+                    deadline: t0 + self.cfg.op_timeout,
+                    task: Task::Part(Box::new(Part {
+                        batch,
+                        index,
+                        plan: Arc::clone(&plan),
+                    })),
+                };
+                if self.handoff_tx[owner].try_send(job).is_ok() {
+                    self.ctl.wakes[owner].notify();
+                    self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                    outstanding += 1;
+                    continue;
+                }
+            }
+            local.push(index);
+        }
+        let mut found = vec![Vec::new(); plan.parts()];
+        for index in local {
+            found[index] = plan.descend(index);
+        }
+        if outstanding == 0 {
+            let reply = plan.assemble(&found);
+            finish(&self.stats, conn, req_id, Opcode::Batch, t0, Ok(reply));
+            return;
+        }
+        conn.inflight += 1;
+        self.next_batch += 1;
+        self.batches.insert(
+            batch,
+            PendingBatch {
+                conn: id,
+                req_id,
+                t0,
+                plan,
+                found,
+                outstanding,
+                shed: false,
+            },
+        );
+    }
+
     /// Executes an opcode that needs no handoff and no group commit.
     fn answer_inline(&self, req: Request) -> std::result::Result<Reply, Status> {
         match req {
@@ -764,7 +959,6 @@ impl Worker {
             Request::Rank { key } => self.engine.rank(key),
             Request::Select { rank } => self.engine.select(rank),
             Request::Range { lo, hi, limit } => self.engine.range(lo, hi, limit),
-            Request::Batch { keys } => self.engine.sorted_batch(&keys),
             Request::Flush => self.engine.flush(),
             // The planner runs on this worker's thread: Reopt is an
             // explicit admin op, so its cost lands on the connection
@@ -782,9 +976,10 @@ impl Worker {
                 self.ctl.set_state(DRAINING);
                 Ok(Reply::Applied { applied: true })
             }
-            Request::Get { .. } | Request::Insert { .. } | Request::Remove { .. } => {
-                unreachable!("routed before answer_inline")
-            }
+            Request::Get { .. }
+            | Request::Batch { .. }
+            | Request::Insert { .. }
+            | Request::Remove { .. } => unreachable!("routed before answer_inline"),
         }
     }
 
@@ -1024,6 +1219,8 @@ impl Server {
                 done_tx: done_txs.clone(),
                 conns: HashMap::new(),
                 next_conn: 0,
+                batches: HashMap::new(),
+                next_batch: 0,
                 active: false,
             };
             handles.push(
@@ -1136,5 +1333,24 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.ctl.set_state(KILLED);
         self.join_threads();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Handing batch parts off must not grow a lookup's job: the part is
+    /// boxed, so a `Job` is no larger than the fields a lookup job
+    /// carried before (origin, conn, req id, key, decode time,
+    /// deadline).
+    #[test]
+    fn lookup_job_keeps_its_size() {
+        let before = std::mem::size_of::<(usize, u64, u32, u64, Instant, Instant)>();
+        assert!(
+            std::mem::size_of::<Job>() <= before,
+            "Job is {} bytes, a lookup job was {before}",
+            std::mem::size_of::<Job>()
+        );
     }
 }

@@ -169,11 +169,19 @@ fn one_worker_server_matches_direct_forest_calls() {
 }
 
 /// Multi-worker serving returns the same answers as single-worker
-/// (shard handoff is invisible to clients), over TCP and Unix sockets.
+/// (shard handoff is invisible to clients), over TCP and Unix sockets:
+/// every `GET`, and one sorted `BATCH` whose shard runs are descended
+/// by all three workers (they own 2, 2 and 1 of the 5 shards).
 #[test]
 fn multi_worker_and_unix_socket_agree_with_direct_calls() {
     let n = 1_500u64;
     let (forest, engine) = forest_engine(n, 5);
+    let probes: Vec<u64> = (0..=(2 * n + 3)).step_by(29).collect();
+    assert_eq!(
+        forest.shard_batches(&probes).expect("sorted").len(),
+        5,
+        "the batch has a run in every shard"
+    );
     let unix_path =
         std::env::temp_dir().join(format!("cobtree-serve-test-{}.sock", std::process::id()));
     for spec in [
@@ -187,7 +195,7 @@ fn multi_worker_and_unix_socket_agree_with_direct_calls() {
         let server = Server::start(engine.clone(), &spec, cfg).expect("start");
         let addr = server.addr().to_spec();
         let mut client = Client::connect(&addr).expect("connect");
-        for key in (0..=(2 * n + 3)).step_by(29) {
+        for &key in &probes {
             let expect = forest.locate(key).map(|h| (h.shard as u32, h.position));
             let Reply::Hit {
                 found,
@@ -202,7 +210,26 @@ fn multi_worker_and_unix_socket_agree_with_direct_calls() {
                 assert_eq!((shard, position), (s, p), "get({key}) over {spec}");
             }
         }
+        let Reply::Batch { hits } = client
+            .call_ok(&Request::Batch {
+                keys: probes.clone(),
+            })
+            .expect("batch")
+        else {
+            panic!("batch shape")
+        };
+        assert_eq!(hits.len(), probes.len());
+        for (&key, hit) in probes.iter().zip(&hits) {
+            let expect = forest.locate(key).map(|h| (h.shard as u32, h.position));
+            let (shard, position) = expect.unwrap_or((0, 0));
+            assert_eq!(
+                (hit.found, hit.shard, hit.position),
+                (expect.is_some(), shard, position),
+                "batch {key} over {spec}"
+            );
+        }
         let stats = server.shutdown().expect("shutdown");
+        assert_eq!(stats.requests, stats.responses);
         assert!(stats.handoffs > 0, "3 workers over 5 shards must hand off");
     }
 }
@@ -212,7 +239,9 @@ fn multi_worker_and_unix_socket_agree_with_direct_calls() {
 /// `TieredForest` API. With buffered inserts and tombstoned base keys
 /// pending on a 2-worker server, every `GET` — through both the
 /// worker-local and the cross-worker handoff path — and one sorted
-/// `BATCH` answer exactly the place `TieredForest::locate` reports.
+/// `BATCH` from each connection (so each worker is once the origin and
+/// once the owner of the other's shard runs) answer exactly the place
+/// `TieredForest::locate` reports.
 #[test]
 fn tiered_engine_round_trip_with_writes() {
     let tiered: TieredForest<u64> = TieredForest::builder()
@@ -292,21 +321,23 @@ fn tiered_engine_round_trip_with_writes() {
             assert_eq!((found, shard, position), expect(key), "get {key}");
         }
     }
-    let Reply::Batch { hits } = clients[1]
-        .call_ok(&Request::Batch {
-            keys: probes.clone(),
-        })
-        .expect("batch")
-    else {
-        panic!("batch shape")
-    };
-    assert_eq!(hits.len(), probes.len());
-    for (&key, hit) in probes.iter().zip(&hits) {
-        assert_eq!(
-            (hit.found, hit.shard, hit.position),
-            expect(key),
-            "batch {key}"
-        );
+    for (c, client) in clients.iter_mut().enumerate() {
+        let Reply::Batch { hits } = client
+            .call_ok(&Request::Batch {
+                keys: probes.clone(),
+            })
+            .expect("batch")
+        else {
+            panic!("batch shape")
+        };
+        assert_eq!(hits.len(), probes.len());
+        for (&key, hit) in probes.iter().zip(&hits) {
+            assert_eq!(
+                (hit.found, hit.shard, hit.position),
+                expect(key),
+                "batch {key} on connection {c}"
+            );
+        }
     }
     let client = &mut clients[0];
 

@@ -167,6 +167,36 @@ fn expired_handoffs_are_shed_with_timeout_and_worker_survives() {
     assert!(timed_out > 0, "no handoff expired under a zero deadline");
     assert!(served > 0, "no locally-owned key was served");
 
+    // A batch with runs in all four shards hands the other worker's
+    // runs off, they expire in its queue, and the batch answers
+    // TIMEOUT. One whose probes all lie in a shard the connection's
+    // worker (worker 0, the first dealt) owns never leaves it.
+    let spread: Vec<u64> = (2..=4_000u64).step_by(37).collect();
+    assert_eq!(forest.shard_batches(&spread).expect("sorted").len(), 4);
+    let resp = client.call(&Request::Batch { keys: spread }).expect("call");
+    assert_eq!(resp.status, Status::Timeout, "foreign runs are shed");
+    timed_out += 1;
+    let own: Vec<u64> = (2..=4_000u64)
+        .filter(|&k| forest.router().route(k) == Some(0))
+        .collect();
+    assert!(!own.is_empty());
+    let Some(Reply::Batch { hits }) = client
+        .call(&Request::Batch { keys: own.clone() })
+        .expect("call")
+        .reply
+    else {
+        panic!("an own-shard batch answers OK")
+    };
+    assert_eq!(hits.len(), own.len());
+    for (&probe, hit) in own.iter().zip(&hits) {
+        let direct = forest.locate(probe).map(|h| (h.shard, h.position));
+        assert_eq!(
+            hit.found.then_some((hit.shard as usize, hit.position)),
+            direct,
+            "own-shard batch diverged for {probe}"
+        );
+    }
+
     // The worker that shed those jobs is still alive and well.
     client.ping().expect("worker survives shedding");
     let stats = server.shutdown().expect("shutdown");
@@ -329,6 +359,45 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
             );
         }
     }
+    // A batch answers as a whole: UNAVAIL if any probe routes to the
+    // quarantined shard, full parity if none does.
+    let every: Vec<u64> = (1..=600u64).map(|k| k * 2).step_by(7).collect();
+    let clear: Vec<u64> = every
+        .iter()
+        .copied()
+        .filter(|k| !unavail_keys.contains(k))
+        .collect();
+    let resp = client
+        .call(&Request::Batch {
+            keys: every.clone(),
+        })
+        .expect("call");
+    assert_eq!(resp.status, Status::Unavail, "batch over the quarantine");
+    let assert_batch_parity = |client: &mut Client, keys: &[u64]| {
+        let resp = client
+            .call(&Request::Batch {
+                keys: keys.to_vec(),
+            })
+            .expect("call");
+        let Some(Reply::Batch { hits }) = resp.reply else {
+            panic!("batch answered {:?}", resp.status)
+        };
+        assert_eq!(hits.len(), keys.len());
+        for (&probe, hit) in keys.iter().zip(&hits) {
+            let place = tiered.locate(probe).map(|h| h.place);
+            assert!(place.is_some(), "probe {probe} is a seeded key");
+            assert_eq!(
+                hit.found.then_some(TierPlace::Shard {
+                    shard: hit.shard as usize,
+                    position: hit.position
+                }),
+                place,
+                "batch probe {probe}"
+            );
+        }
+    };
+    assert_batch_parity(&mut client, &clear);
+
     let stats = client.stats().expect("stats");
     assert_eq!(stats.quarantined_shards, 1);
     assert!(stats.unavail > 0, "UNAVAIL responses were counted");
@@ -356,6 +425,7 @@ fn corrupt_manifest_row_quarantines_one_shard_and_heals_on_flush() {
             "healed probe {probe} must be found"
         );
     }
+    assert_batch_parity(&mut client, &every);
     server.shutdown().expect("shutdown");
     std::fs::remove_dir_all(&dir).ok();
 }
