@@ -818,27 +818,44 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
     /// way, a reopened tree visits the same positions and returns the
     /// same checksums as this one.
     ///
+    /// The key region of an [`Storage::Implicit`] binary tree is copied
+    /// straight from its layout-ordered key array. Every other backend
+    /// (fat heaps and opened mapped files included) assembles it through
+    /// the public rank surface. Both give the same bytes for the same
+    /// layout and keys.
+    ///
     /// # Errors
     /// Propagates [`cobtree_core::format::encode_tree`] errors.
     pub fn encode(&self, opts: &SaveOptions) -> Result<Vec<u8>> {
-        let block_bytes = opts.block_bytes.unwrap_or(format::DEFAULT_BLOCK_BYTES);
-        let tree = Tree::new(self.height);
-        let capacity = tree.len();
+        if let Inner::Implicit(t) = &self.inner {
+            let slots = t.keys();
+            return self.encode_image(opts, |p| match slots[p as usize] {
+                Slot::Key(k) => Some(k),
+                Slot::Sup(_) => None,
+            });
+        }
         // Sparse fat layouts address more slots than ranks; the extra
-        // slots stay `None` (zero bytes in the file).
+        // slots stay `None` (zero bytes in the file), as do padding slots.
         let slot_capacity = match self.provenance {
             Provenance::Fat(layout) => FatIndex::try_new(layout, self.height)?.slot_capacity(),
-            _ => capacity,
+            _ => self.capacity(),
         };
-        // Layout-ordered key image, assembled through the public rank
-        // surface so any inner backend — including a mapped one — can
-        // be re-serialized.
         let mut keys_by_position: Vec<Option<K>> = vec![None; slot_capacity as usize];
         for rank in 1..=self.key_len {
             let p = SearchBackend::position_of_rank(self, rank).expect("stored rank has a node");
             keys_by_position[p as usize] = SearchBackend::key_at_rank(self, rank);
         }
-        let key_at = |p: u64| keys_by_position[p as usize];
+        self.encode_image(opts, |p| keys_by_position[p as usize])
+    }
+
+    /// [`SearchTree::encode`] over a layout-ordered key image: `key_at`
+    /// answers each file slot's key, `None` for padding.
+    fn encode_image(
+        &self,
+        opts: &SaveOptions,
+        key_at: impl FnMut(u64) -> Option<K>,
+    ) -> Result<Vec<u8>> {
+        let block_bytes = opts.block_bytes.unwrap_or(format::DEFAULT_BLOCK_BYTES);
         match self.provenance {
             Provenance::Named(layout) if opts.descriptor != DescriptorKind::Table => {
                 format::encode_tree(
@@ -857,6 +874,8 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
                 key_at,
             ),
             _ => {
+                let tree = Tree::new(self.height);
+                let capacity = tree.len();
                 let mut positions_by_node = vec![0u32; capacity as usize];
                 for rank in 1..=capacity {
                     let node = tree.node_at_in_order(rank);

@@ -19,14 +19,16 @@
 //!   mapped storage when the engine is backed by a directory), serving
 //!   point probes through the same compiled descent kernels as the
 //!   read-only engine;
-//! * **compaction** drains the memtable into a *frozen* buffer, merges
-//!   it with the affected shards into freshly built `.cobt` files
-//!   (untouched shards are carried forward by file generation, not
-//!   rewritten), and publishes the result atomically by writing a new
-//!   versioned `.cobf` manifest (`forest-e{epoch:08}.cobf`) and
-//!   swapping the in-memory tiers under a brief write lock. Readers
-//!   never block on compaction and never observe a torn state: every
-//!   query runs against one consistent `(base, frozen, mem)` triple.
+//! * **compaction** drains the memtable into a *frozen* buffer and
+//!   merges it with the affected shards (untouched shards are carried
+//!   forward by file generation, not rewritten). The file images of the
+//!   rebuilt shards are built on every core at once; the flushing thread
+//!   then writes them as fresh `.cobt` files in generation order and
+//!   publishes the result atomically by writing a new versioned `.cobf`
+//!   manifest (`forest-e{epoch:08}.cobf`) and swapping the in-memory
+//!   tiers under a brief write lock. Readers never block on compaction
+//!   and never observe a torn state: every query runs against one
+//!   consistent `(base, frozen, mem)` triple.
 //!
 //! # Rank arithmetic across tiers
 //!
@@ -357,8 +359,13 @@ impl<K: Ord + Copy> Memtable<K> {
     /// Folds a *younger* memtable into `self` (the frozen tier): the
     /// result expresses both deltas relative to the tier below `self`.
     /// A younger tombstone cancels an older insert of the same key; a
-    /// younger insert cancels an older tombstone.
+    /// younger insert cancels an older tombstone. An empty `self` (every
+    /// flush but a retry, the seeded boot included) takes `younger` whole.
     fn absorb(&mut self, younger: Memtable<K>) {
+        if self.is_empty() {
+            *self = younger;
+            return;
+        }
         for key in younger.tombstones {
             if let Ok(i) = self.inserts.binary_search(&key) {
                 self.inserts.remove(i);
@@ -1494,10 +1501,15 @@ fn plan_shards<K: FixedKey>(
 /// serve it.
 type OpenedBase<K> = (Option<Arc<Forest<K>>>, Vec<u64>);
 
-/// Builds and durably writes the next epoch: fresh shard files first,
-/// the epoch manifest last, then re-opens the published rows as the
-/// new mapped base. Nothing the current epoch references is modified,
-/// so a crash anywhere in here leaves the current epoch fully intact.
+/// Builds and durably writes the next epoch, then re-opens the
+/// published rows as the new mapped base. The build is all CPU and
+/// fans out over the cores ([`shard_images`]): every rebuilt shard's
+/// file image is ready before the first byte is written, so a build
+/// error fails the flush with nothing on disk. The writes then run on
+/// this thread alone, in the same order as a one-core build: fresh
+/// shard files in generation order, the epoch manifest last. Nothing
+/// the current epoch references is modified, so a crash anywhere in
+/// here leaves the current epoch fully intact.
 #[allow(clippy::too_many_arguments)]
 fn publish_to_dir<K: FixedKey>(
     cfg: &TieredConfig,
@@ -1513,38 +1525,41 @@ fn publish_to_dir<K: FixedKey>(
     let plans = plan_shards(cfg, base, gens, frozen, mode);
     let mut gen = next_gen;
     let mut rows: Vec<ShardRecord<K>> = Vec::with_capacity(plans.len());
+    let mut builds = Vec::new();
     for plan in plans {
-        match plan {
+        rows.push(match plan {
             ShardPlan::Carry {
                 generation,
                 count,
                 bounds,
-            } => rows.push(ShardRecord {
+            } => ShardRecord {
                 key_count: count,
                 bounds: Some(bounds),
                 generation,
-            }),
-            ShardPlan::Build { keys } if keys.is_empty() => rows.push(ShardRecord {
-                key_count: 0,
-                bounds: None,
-                generation: 0,
-            }),
-            ShardPlan::Build { keys } => {
-                let tree = SearchTree::builder()
-                    .layout(cfg.layout)
-                    .storage(Storage::Implicit)
-                    .keys(keys.iter().copied())
-                    .build()?;
-                let bytes = tree.encode(&SaveOptions::new())?;
-                io.write_atomic(&dir.join(tiered_shard_name(gen)), &bytes)?;
-                rows.push(ShardRecord {
-                    key_count: keys.len() as u64,
-                    bounds: Some((keys[0], *keys.last().expect("non-empty"))),
-                    generation: gen,
-                });
-                gen += 1;
-            }
-        }
+            },
+            ShardPlan::Build { keys } => match (keys.first(), keys.last()) {
+                (Some(&first), Some(&last)) => {
+                    let row = ShardRecord {
+                        key_count: keys.len() as u64,
+                        bounds: Some((first, last)),
+                        generation: gen,
+                    };
+                    gen += 1;
+                    builds.push(keys);
+                    row
+                }
+                _ => ShardRecord {
+                    key_count: 0,
+                    bounds: None,
+                    generation: 0,
+                },
+            },
+        });
+    }
+    // The builds got the generations `next_gen..gen`, in plan order.
+    let images = shard_images(cfg.layout, builds)?;
+    for (generation, bytes) in (next_gen..gen).zip(images) {
+        io.write_atomic(&dir.join(tiered_shard_name(generation)), &bytes)?;
     }
     let manifest = ManifestV2 {
         epoch: new_epoch,
@@ -1556,6 +1571,58 @@ fn publish_to_dir<K: FixedKey>(
     io.write_atomic(&dir.join(tiered_manifest_name(new_epoch)), &bytes)?;
     let opened = open_rows(dir, &rows, io)?;
     Ok((opened, gen))
+}
+
+/// The sealed `.cobt` image of an implicit `layout` tree over each key
+/// set, returned in input order. The calling thread and up to
+/// `available_parallelism() − 1` helpers take key sets from one queue,
+/// so with one key set or one core no thread is spawned (nor when a
+/// spawn fails: the calling thread drains the queue alone). Pure CPU:
+/// nothing here touches the storage seam.
+///
+/// # Errors
+/// The build or encode error of the first failing key set, in input
+/// order.
+fn shard_images<K: FixedKey>(layout: NamedLayout, key_sets: Vec<Vec<K>>) -> Result<Vec<Vec<u8>>> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(key_sets.len());
+    let queue = Mutex::new(key_sets.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = relock(queue.lock()).next();
+            let Some((i, keys)) = next else { return done };
+            let image = SearchTree::builder()
+                .layout(layout)
+                .storage(Storage::Implicit)
+                .keys(keys)
+                .build()
+                .and_then(|tree| tree.encode(&SaveOptions::new()));
+            done.push((i, image));
+        }
+    };
+    let mut images = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("cobtree-publish".into())
+                    .spawn_scoped(s, drain)
+                    .ok()
+            })
+            .collect();
+        let mut images = drain();
+        for helper in helpers {
+            images.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        images
+    });
+    images.sort_unstable_by_key(|&(i, _)| i);
+    images.into_iter().map(|(_, image)| image).collect()
 }
 
 /// Re-opens the shard files a manifest's rows reference as a mapped

@@ -141,6 +141,51 @@ fn every_flush_failpoint_loses_no_acked_durable_write() {
     }
 }
 
+/// A publish builds its shard images on every core but writes them on
+/// the flushing thread alone, in generation order, with the manifest
+/// last. Failing the k-th write of a 4-shard seed publish must
+/// therefore always hit the k-th shard file, and the fifth write the
+/// epoch manifest, run after run.
+#[test]
+fn fanned_out_publish_writes_in_generation_order() {
+    use cobtree::search::tiered::{tiered_manifest_name, tiered_shard_name};
+    let keys: Vec<u64> = (1..=4_000u64).map(|k| k * 3).collect();
+    for repeat in 0..5u64 {
+        for k in 1..=5u64 {
+            let dir = temp_dir("publish-order", repeat << 8 | k);
+            std::fs::remove_dir_all(&dir).ok();
+            let fault = Arc::new(FaultIo::scripted(vec![FaultRule {
+                op: IoOp::Write,
+                nth: k,
+                kind: FaultKind::Fail,
+            }]));
+            let built = TieredForest::builder()
+                .layout(NamedLayout::MinWep)
+                .shards(4)
+                .path(&dir)
+                .background(false)
+                .io(Arc::clone(&fault) as Arc<dyn StorageIo>)
+                .keys(keys.iter().copied())
+                .build();
+            assert!(
+                built.is_err(),
+                "write #{k} was failed, yet the seed publish succeeded"
+            );
+            let file = if k <= 4 {
+                tiered_shard_name(k)
+            } else {
+                tiered_manifest_name(1)
+            };
+            assert_eq!(
+                fault.event_log(),
+                format!("write#{k} fail {file}\n"),
+                "repeat {repeat}: write #{k} must hit {file}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 /// The full loop: boot → bomb (healthy baseline) → corrupt a shard's
 /// next scrub read → scrub detects and quarantines → bomb degraded
 /// (its key range answers `UNAVAIL`, the rest keeps serving) → heal

@@ -44,6 +44,19 @@ fn saved_files_serve_identically_for_every_layout() {
         assert_eq!(served.len(), keys.len() as u64);
         assert_eq!(served.layout_label(), layout.label(), "label round-trips");
 
+        // The implicit tree encodes straight from its layout-ordered
+        // slots; every other backend, the reopened file included, walks
+        // the rank surface. Both must give the same bytes.
+        let image = in_memory[1].encode(&SaveOptions::new()).expect("encode");
+        for t in [&in_memory[0], &in_memory[2], &served] {
+            assert_eq!(
+                t.encode(&SaveOptions::new()).expect("encode"),
+                image,
+                "{layout}: {:?} image differs from the implicit one",
+                t.storage()
+            );
+        }
+
         let reference = in_memory[0].search_batch_checksum(&probes);
         for t in &in_memory {
             assert_eq!(t.search_batch_checksum(&probes), reference, "{layout}");
