@@ -22,9 +22,10 @@
 //! * **compaction** drains the memtable into a *frozen* buffer and
 //!   merges it with the affected shards (untouched shards are carried
 //!   forward by file generation, not rewritten). The file images of the
-//!   rebuilt shards are built on every core at once; the flushing thread
-//!   then writes them as fresh `.cobt` files in generation order and
-//!   publishes the result atomically by writing a new versioned `.cobf`
+//!   rebuilt shards are built on every core, one per thread at a time;
+//!   the flushing thread writes each as a fresh `.cobt` file once it and
+//!   every lower generation are built, frees it, and publishes the
+//!   result atomically by writing a new versioned `.cobf`
 //!   manifest (`forest-e{epoch:08}.cobf`) and swapping the in-memory
 //!   tiers under a brief write lock. Readers never block on compaction
 //!   and never observe a torn state: every query runs against one
@@ -1502,14 +1503,15 @@ fn plan_shards<K: FixedKey>(
 type OpenedBase<K> = (Option<Arc<Forest<K>>>, Vec<u64>);
 
 /// Builds and durably writes the next epoch, then re-opens the
-/// published rows as the new mapped base. The build is all CPU and
-/// fans out over the cores ([`shard_images`]): every rebuilt shard's
-/// file image is ready before the first byte is written, so a build
-/// error fails the flush with nothing on disk. The writes then run on
-/// this thread alone, in the same order as a one-core build: fresh
-/// shard files in generation order, the epoch manifest last. Nothing
-/// the current epoch references is modified, so a crash anywhere in
-/// here leaves the current epoch fully intact.
+/// published rows as the new mapped base. The shard builds are all CPU
+/// and fan out over the cores ([`write_shard_images`]); the writes run
+/// on this thread alone, in the same order as a one-core build: fresh
+/// shard files in generation order, each as soon as it and every file
+/// before it are built, then the epoch manifest. A build error fails
+/// the flush after the files before it, which no manifest references
+/// (the next successful publish deletes them). Nothing the current
+/// epoch references is modified, so a crash anywhere in here leaves
+/// the current epoch fully intact.
 #[allow(clippy::too_many_arguments)]
 fn publish_to_dir<K: FixedKey>(
     cfg: &TieredConfig,
@@ -1557,10 +1559,9 @@ fn publish_to_dir<K: FixedKey>(
         });
     }
     // The builds got the generations `next_gen..gen`, in plan order.
-    let images = shard_images(cfg.layout, builds)?;
-    for (generation, bytes) in (next_gen..gen).zip(images) {
-        io.write_atomic(&dir.join(tiered_shard_name(generation)), &bytes)?;
-    }
+    write_shard_images(cfg.layout, builds, |i, bytes| {
+        io.write_atomic(&dir.join(tiered_shard_name(next_gen + i as u64)), bytes)
+    })?;
     let manifest = ManifestV2 {
         epoch: new_epoch,
         flushed_inserts: frozen.inserts.len() as u64,
@@ -1573,56 +1574,132 @@ fn publish_to_dir<K: FixedKey>(
     Ok((opened, gen))
 }
 
-/// The sealed `.cobt` image of an implicit `layout` tree over each key
-/// set, returned in input order. The calling thread and up to
+/// The work queue of [`write_shard_images`], shared under one mutex.
+struct ImageQueue<K> {
+    /// The key sets not taken yet, with their input index.
+    pending: std::iter::Enumerate<std::vec::IntoIter<Vec<K>>>,
+    /// Finished builds waiting for their write, by input index (a
+    /// build that panicked holds its payload).
+    built: Vec<Option<std::thread::Result<Result<Vec<u8>>>>>,
+    /// Key sets taken and images written so far: the difference counts
+    /// the builds and images alive.
+    taken: usize,
+    written: usize,
+    /// Set when the writer leaves, so that no more key sets are taken.
+    stop: bool,
+}
+
+impl<K> ImageQueue<K> {
+    /// The next key set, while fewer than `window` are taken and not
+    /// yet written.
+    fn take(&mut self, window: usize) -> Option<(usize, Vec<K>)> {
+        if self.stop || self.taken - self.written >= window {
+            return None;
+        }
+        let next = self.pending.next()?;
+        self.taken += 1;
+        Some(next)
+    }
+}
+
+/// Stops the helpers of [`write_shard_images`] however its writer
+/// leaves: done, failed or unwinding.
+struct StopHelpers<'a, K>(&'a Mutex<ImageQueue<K>>, &'a Condvar);
+
+impl<K> Drop for StopHelpers<'_, K> {
+    fn drop(&mut self) {
+        relock(self.0.lock()).stop = true;
+        self.1.notify_all();
+    }
+}
+
+/// Builds the sealed `.cobt` image of an implicit `layout` tree over
+/// each key set and hands it to `write` with its input index, on the
+/// calling thread and in input order, as soon as it and every image
+/// before it are built. The calling thread and up to
 /// `available_parallelism() − 1` helpers take key sets from one queue,
-/// so with one key set or one core no thread is spawned (nor when a
-/// spawn fails: the calling thread drains the queue alone). Pure CPU:
-/// nothing here touches the storage seam.
+/// but only while fewer than one per thread is taken and not yet
+/// written: at most one build or image per thread is alive, and each
+/// image is freed right after its write. With one key set or one core
+/// no thread is spawned (nor when a spawn fails: the calling thread
+/// drains the queue alone). Helpers never touch the storage seam.
 ///
 /// # Errors
-/// The build or encode error of the first failing key set, in input
-/// order.
-fn shard_images<K: FixedKey>(layout: NamedLayout, key_sets: Vec<Vec<K>>) -> Result<Vec<Vec<u8>>> {
+/// The first error in input order, a key set's build or encode error
+/// or `write`'s, once every image before it is written.
+fn write_shard_images<K: FixedKey>(
+    layout: NamedLayout,
+    key_sets: Vec<Vec<K>>,
+    mut write: impl FnMut(usize, &[u8]) -> Result<()>,
+) -> Result<()> {
+    let total = key_sets.len();
     let threads = std::thread::available_parallelism()
         .map_or(1, usize::from)
-        .min(key_sets.len());
-    let queue = Mutex::new(key_sets.into_iter().enumerate());
-    let drain = || {
-        let mut done = Vec::new();
-        loop {
-            let next = relock(queue.lock()).next();
-            let Some((i, keys)) = next else { return done };
-            let image = SearchTree::builder()
+        .min(total);
+    let queue = Mutex::new(ImageQueue {
+        pending: key_sets.into_iter().enumerate(),
+        built: (0..total).map(|_| None).collect(),
+        taken: 0,
+        written: 0,
+        stop: false,
+    });
+    let turn = Condvar::new();
+    let build = |keys: Vec<K>| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            SearchTree::builder()
                 .layout(layout)
                 .storage(Storage::Implicit)
                 .keys(keys)
                 .build()
-                .and_then(|tree| tree.encode(&SaveOptions::new()));
-            done.push((i, image));
+                .and_then(|tree| tree.encode(&SaveOptions::new()))
+        }))
+    };
+    let helper = || {
+        let mut q = relock(queue.lock());
+        loop {
+            if let Some((i, keys)) = q.take(threads) {
+                drop(q);
+                let image = build(keys);
+                q = relock(queue.lock());
+                q.built[i] = Some(image);
+                turn.notify_all();
+            } else if q.stop || q.pending.len() == 0 {
+                return;
+            } else {
+                q = relock(turn.wait(q));
+            }
         }
     };
-    let mut images = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads)
-            .filter_map(|_| {
-                std::thread::Builder::new()
-                    .name("cobtree-publish".into())
-                    .spawn_scoped(s, drain)
-                    .ok()
-            })
-            .collect();
-        let mut images = drain();
-        for helper in helpers {
-            images.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
+    std::thread::scope(|s| {
+        for _ in 1..threads {
+            // A helper that fails to spawn leaves its share to the rest.
+            let _ = std::thread::Builder::new()
+                .name("cobtree-publish".into())
+                .spawn_scoped(s, helper);
         }
-        images
-    });
-    images.sort_unstable_by_key(|&(i, _)| i);
-    images.into_iter().map(|(_, image)| image).collect()
+        let _stop = StopHelpers(&queue, &turn);
+        let mut q = relock(queue.lock());
+        while q.written < total {
+            let i = q.written;
+            if let Some(image) = q.built[i].take() {
+                drop(q);
+                let bytes = image.unwrap_or_else(|p| std::panic::resume_unwind(p))?;
+                write(i, &bytes)?;
+                drop(bytes);
+                q = relock(queue.lock());
+                q.written += 1;
+                turn.notify_all();
+            } else if let Some((j, keys)) = q.take(threads) {
+                drop(q);
+                let image = build(keys);
+                q = relock(queue.lock());
+                q.built[j] = Some(image);
+            } else {
+                q = relock(turn.wait(q));
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Re-opens the shard files a manifest's rows reference as a mapped
@@ -2442,5 +2519,62 @@ mod tests {
         assert!(reopened.contains(100) && reopened.contains(101) && !reopened.contains(1));
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_images_reach_the_writer_in_order_and_stop_at_the_first_error() {
+        // Odd key sets build far slower than even ones, so on more than
+        // one core later images are often ready before earlier ones.
+        let key_sets: Vec<Vec<u64>> = (0..9u64)
+            .map(|i| {
+                let len = if i % 2 == 1 { 100_000 } else { 20_000 + 29 * i };
+                (1..=len).map(|k| k * 3 + i).collect()
+            })
+            .collect();
+        let expect: Vec<Vec<u8>> = key_sets
+            .iter()
+            .map(|keys| {
+                SearchTree::builder()
+                    .layout(NamedLayout::MinWep)
+                    .storage(Storage::Implicit)
+                    .keys(keys.iter().copied())
+                    .build()
+                    .and_then(|tree| tree.encode(&SaveOptions::new()))
+                    .unwrap()
+            })
+            .collect();
+        let mut seen = Vec::new();
+        write_shard_images(NamedLayout::MinWep, key_sets.clone(), |i, bytes| {
+            seen.push((i, bytes.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, expect.into_iter().enumerate().collect::<Vec<_>>());
+
+        // A failing build: the images before it are written, none after.
+        let mut bad = key_sets.clone();
+        bad[3].swap(0, 1);
+        let mut written = Vec::new();
+        let err = write_shard_images(NamedLayout::MinWep, bad, |i, _| {
+            written.push(i);
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, Error::UnsortedKeys { index: 0 }), "{err}");
+        assert_eq!(written, [0, 1, 2]);
+
+        // A failing write is returned as is, and nothing follows it.
+        let mut written = Vec::new();
+        let err = write_shard_images(NamedLayout::MinWep, key_sets, |i, _| {
+            written.push(i);
+            if i == 4 {
+                Err(Error::EmptyKeys)
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(err, Error::EmptyKeys), "{err}");
+        assert_eq!(written, [0, 1, 2, 3, 4]);
     }
 }
