@@ -399,6 +399,43 @@ pub fn encode_tree<K: FixedKey>(
     descriptor: &Descriptor<'_>,
     mut key_at_position: impl FnMut(u64) -> Option<K>,
 ) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
+    encode_tree_into::<K>(
+        height,
+        key_count,
+        block_bytes,
+        descriptor,
+        &mut out,
+        |region| {
+            for (p, slot) in (0..).zip(region.chunks_exact_mut(K::WIDTH)) {
+                if let Some(k) = key_at_position(p) {
+                    k.write_le(slot);
+                }
+            }
+        },
+    )?;
+    Ok(out)
+}
+
+/// [`encode_tree`] into a caller-owned buffer, with the key region
+/// written by `fill`. `out` is cleared and zero-filled to the file's
+/// length (its allocation is kept, so one buffer serves many files);
+/// `fill` receives the zeroed key region, where the slot at layout
+/// position `p` is bytes `p · K::WIDTH ..` — it writes each real key
+/// with [`FixedKey::write_le`] and leaves padding slots zero. The header,
+/// descriptor and index regions and both checksums are written around
+/// it exactly as for [`encode_tree`].
+///
+/// # Errors
+/// As for [`encode_tree`]; `fill` is not called on an error.
+pub fn encode_tree_into<K: FixedKey>(
+    height: u32,
+    key_count: u64,
+    block_bytes: u64,
+    descriptor: &Descriptor<'_>,
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut [u8]),
+) -> Result<()> {
     let capacity = check_shape(height, key_count, block_bytes)?;
 
     let (kind, arity, desc_label): (DescriptorKind, u8, String) = match descriptor {
@@ -442,7 +479,8 @@ pub fn encode_tree<K: FixedKey>(
     };
     let total = (index_off + index_len) as usize;
 
-    let mut out = vec![0u8; total];
+    out.clear();
+    out.resize(total, 0);
     out[0..4].copy_from_slice(&MAGIC);
     out[4..6].copy_from_slice(&VERSION.to_le_bytes());
     out[6..8].copy_from_slice(&ENDIAN_MARK.to_le_bytes());
@@ -462,12 +500,7 @@ pub fn encode_tree<K: FixedKey>(
 
     out[desc_off as usize..(desc_off + desc_len) as usize].copy_from_slice(desc_bytes);
 
-    for p in 0..slots {
-        if let Some(k) = key_at_position(p) {
-            let off = key_off as usize + (p as usize) * K::WIDTH;
-            k.write_le(&mut out[off..off + K::WIDTH]);
-        }
-    }
+    fill(&mut out[key_off as usize..(key_off + key_len) as usize]);
 
     if let Descriptor::Table {
         positions_by_node, ..
@@ -479,9 +512,9 @@ pub fn encode_tree<K: FixedKey>(
         }
     }
 
-    seal_content_hash(&mut out);
-    seal_header_hash(&mut out);
-    Ok(out)
+    seal_content_hash(out);
+    seal_header_hash(out);
+    Ok(())
 }
 
 /// Recomputes and stores the content checksum of an encoded file (over

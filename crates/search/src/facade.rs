@@ -318,19 +318,8 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
         if self.storage == Storage::Mapped {
             return Err(Error::MappedStorageRequiresFile);
         }
-        check_sorted_keys(&self.keys)?;
+        let height = fitted_height(&self.keys)?;
         let n = self.keys.len() as u64;
-        if n > MAX_KEYS {
-            return Err(Error::TooManyKeys {
-                got: n,
-                max: MAX_KEYS,
-            });
-        }
-        // Smallest complete tree that fits every key.
-        let mut height = 1u32;
-        while ((1u64 << height) - 1) < n {
-            height += 1;
-        }
         let slots = padded_slots(&self.keys, height);
         // Fold the builder's weight annotation into the source, keep
         // its provenance label, then collapse it into a directly
@@ -406,6 +395,25 @@ impl<K: Ord + Copy> SearchTreeBuilder<K> {
             inner,
         })
     }
+}
+
+/// Checks a key set against the builder's rules (non-empty, strictly
+/// ascending, at most [`MAX_KEYS`]) and returns the height of the
+/// smallest complete tree that fits it.
+fn fitted_height<K: Ord>(keys: &[K]) -> Result<u32> {
+    check_sorted_keys(keys)?;
+    let n = keys.len() as u64;
+    if n > MAX_KEYS {
+        return Err(Error::TooManyKeys {
+            got: n,
+            max: MAX_KEYS,
+        });
+    }
+    let mut height = 1u32;
+    while ((1u64 << height) - 1) < n {
+        height += 1;
+    }
+    Ok(height)
 }
 
 enum Inner<K> {
@@ -846,6 +854,71 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
             keys_by_position[p as usize] = SearchBackend::key_at_rank(self, rank);
         }
         self.encode_image(opts, |p| keys_by_position[p as usize])
+    }
+
+    /// Writes into `out` the image that [`SearchTree::encode`] gives
+    /// under `opts` for the [`Storage::Implicit`] `layout` tree over
+    /// `keys`, without building the tree: each key goes straight to its
+    /// layout position for its in-order rank, and padding slots stay
+    /// zero. The key set is checked as [`SearchTreeBuilder::build`]
+    /// checks it. `out`'s allocation is reused, so one buffer can serve
+    /// a run of images.
+    ///
+    /// ```
+    /// use cobtree_search::{SaveOptions, SearchTree, Storage};
+    /// use cobtree_core::NamedLayout;
+    ///
+    /// let keys: Vec<u64> = (1..=1000).map(|k| k * 3).collect();
+    /// let mut image = Vec::new();
+    /// SearchTree::encode_sorted_into(NamedLayout::MinWep, &keys, &SaveOptions::new(), &mut image)?;
+    /// let tree = SearchTree::builder()
+    ///     .layout(NamedLayout::MinWep)
+    ///     .storage(Storage::Implicit)
+    ///     .keys(keys)
+    ///     .build()?;
+    /// assert_eq!(image, tree.encode(&SaveOptions::new())?);
+    /// # Ok::<(), cobtree_core::Error>(())
+    /// ```
+    ///
+    /// # Errors
+    /// The [`SearchTreeBuilder::build`] errors for a bad key set, then
+    /// [`cobtree_core::format::encode_tree`]'s.
+    pub fn encode_sorted_into(
+        layout: NamedLayout,
+        keys: &[K],
+        opts: &SaveOptions,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let height = fitted_height(keys)?;
+        let index = layout.try_indexer(height)?;
+        let tree = Tree::new(height);
+        let table: Vec<u32>;
+        let descriptor = if opts.descriptor == DescriptorKind::Table {
+            table = tree
+                .nodes()
+                .map(|i| index.position(i, tree.depth(i)) as u32)
+                .collect();
+            Descriptor::Table {
+                label: layout.label(),
+                positions_by_node: &table,
+            }
+        } else {
+            Descriptor::Named(layout)
+        };
+        format::encode_tree_into::<K>(
+            height,
+            keys.len() as u64,
+            opts.block_bytes.unwrap_or(format::DEFAULT_BLOCK_BYTES),
+            &descriptor,
+            out,
+            |region| {
+                for (rank, &key) in (1..).zip(keys) {
+                    let node = tree.node_at_in_order(rank);
+                    let at = index.position(node, tree.depth(node)) as usize * K::WIDTH;
+                    key.write_le(&mut region[at..at + K::WIDTH]);
+                }
+            },
+        )
     }
 
     /// [`SearchTree::encode`] over a layout-ordered key image: `key_at`

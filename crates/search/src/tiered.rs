@@ -21,10 +21,12 @@
 //!   read-only engine;
 //! * **compaction** drains the memtable into a *frozen* buffer and
 //!   merges it with the affected shards (untouched shards are carried
-//!   forward by file generation, not rewritten). The file images of the
-//!   rebuilt shards are built on every core, one per thread at a time;
-//!   the flushing thread writes each as a fresh `.cobt` file once it and
-//!   every lower generation are built, frees it, and publishes the
+//!   forward by file generation, not rewritten). The file image of each
+//!   rebuilt shard is written straight from its sorted keys, each key at
+//!   its layout position, with no tree built; the images are built on
+//!   every core, one per thread at a time, in buffers reused across the
+//!   publish. The flushing thread writes each as a fresh `.cobt` file
+//!   once it and every lower generation are built, and publishes the
 //!   result atomically by writing a new versioned `.cobf`
 //!   manifest (`forest-e{epoch:08}.cobf`) and swapping the in-memory
 //!   tiers under a brief write lock. Readers never block on compaction
@@ -1425,6 +1427,25 @@ fn merged_live<K: Ord + Copy>(base: Option<&Forest<K>>, frozen: &Memtable<K>) ->
     out
 }
 
+/// The live keys of `(frozen over base)` in ascending order, one at a
+/// time: [`merged_live`] without the vector.
+fn live_keys<'a, K: Ord + Copy>(
+    base: Option<&'a Forest<K>>,
+    frozen: &'a Memtable<K>,
+) -> impl Iterator<Item = K> + 'a {
+    let mut kept = base
+        .into_iter()
+        .flat_map(Forest::iter)
+        .filter(|&key| !has(&frozen.tombstones, key))
+        .peekable();
+    let mut ins = frozen.inserts.iter().copied().peekable();
+    std::iter::from_fn(move || match (kept.peek(), ins.peek()) {
+        (Some(key), Some(i)) if i < key => ins.next(),
+        (Some(_), _) => kept.next(),
+        (None, _) => ins.next(),
+    })
+}
+
 /// Plans the next epoch's shards. Incremental mode routes each
 /// buffered delta to the dense base shard owning its key range and
 /// rebuilds only the shards that received one; full mode re-partitions
@@ -1486,15 +1507,22 @@ fn plan_shards<K: FixedKey>(
         return plans;
     }
     // Full rebuild: even range partition over the merged live set,
-    // mirroring ForestBuilder's split.
-    let merged = merged_live(base, frozen);
-    let n = merged.len();
+    // mirroring ForestBuilder's split, merged straight into the slots.
+    // Inserts are disjoint from the base and tombstones a subset of it,
+    // so the live count is known before the merge.
+    let n = base.map_or(0, |f| f.len() as usize) + frozen.inserts.len() - frozen.tombstones.len();
     let slots = cfg.shards.max(1);
-    (0..slots)
-        .map(|slot| ShardPlan::Build {
-            keys: merged[slot * n / slots..(slot + 1) * n / slots].to_vec(),
+    let mut live = live_keys(base, frozen);
+    let plans = (0..slots)
+        .map(|slot| {
+            let len = (slot + 1) * n / slots - slot * n / slots;
+            let mut keys = Vec::with_capacity(len);
+            keys.extend(live.by_ref().take(len));
+            ShardPlan::Build { keys }
         })
-        .collect()
+        .collect();
+    debug_assert!(live.next().is_none(), "the live count was exact");
+    plans
 }
 
 /// A freshly opened base tier: the mapped forest (`None` when the
@@ -1581,6 +1609,8 @@ struct ImageQueue<K> {
     /// Finished builds waiting for their write, by input index (a
     /// build that panicked holds its payload).
     built: Vec<Option<std::thread::Result<Result<Vec<u8>>>>>,
+    /// The buffers of written images, for the next builds to reuse.
+    spare: Vec<Vec<u8>>,
     /// Key sets taken and images written so far: the difference counts
     /// the builds and images alive.
     taken: usize,
@@ -1590,15 +1620,15 @@ struct ImageQueue<K> {
 }
 
 impl<K> ImageQueue<K> {
-    /// The next key set, while fewer than `window` are taken and not
-    /// yet written.
-    fn take(&mut self, window: usize) -> Option<(usize, Vec<K>)> {
+    /// The next key set and a buffer for its image, while fewer than
+    /// `window` are taken and not yet written.
+    fn take(&mut self, window: usize) -> Option<(usize, Vec<K>, Vec<u8>)> {
         if self.stop || self.taken - self.written >= window {
             return None;
         }
-        let next = self.pending.next()?;
+        let (i, keys) = self.pending.next()?;
         self.taken += 1;
-        Some(next)
+        Some((i, keys, self.spare.pop().unwrap_or_default()))
     }
 }
 
@@ -1613,20 +1643,23 @@ impl<K> Drop for StopHelpers<'_, K> {
     }
 }
 
-/// Builds the sealed `.cobt` image of an implicit `layout` tree over
-/// each key set and hands it to `write` with its input index, on the
-/// calling thread and in input order, as soon as it and every image
-/// before it are built. The calling thread and up to
+/// Writes the sealed `.cobt` image of each sorted key set in `layout`
+/// ([`SearchTree::encode_sorted_into`]: each key at its layout
+/// position, no tree built) and hands it to `write` with its input
+/// index, on the calling thread and in input order, as soon as it and
+/// every image before it are built. The calling thread and up to
 /// `available_parallelism() − 1` helpers take key sets from one queue,
 /// but only while fewer than one per thread is taken and not yet
-/// written: at most one build or image per thread is alive, and each
-/// image is freed right after its write. With one key set or one core
-/// no thread is spawned (nor when a spawn fails: the calling thread
-/// drains the queue alone). Helpers never touch the storage seam.
+/// written: at most one build or image per thread is alive. A written
+/// image's buffer goes to the next build, so a call allocates at most
+/// one buffer per thread and frees them all when it returns. With one
+/// key set or one core no thread is spawned (nor when a spawn fails:
+/// the calling thread drains the queue alone). Helpers never touch the
+/// storage seam.
 ///
 /// # Errors
-/// The first error in input order, a key set's build or encode error
-/// or `write`'s, once every image before it is written.
+/// The first error in input order, a key set's build error or
+/// `write`'s, once every image before it is written.
 fn write_shard_images<K: FixedKey>(
     layout: NamedLayout,
     key_sets: Vec<Vec<K>>,
@@ -1639,27 +1672,24 @@ fn write_shard_images<K: FixedKey>(
     let queue = Mutex::new(ImageQueue {
         pending: key_sets.into_iter().enumerate(),
         built: (0..total).map(|_| None).collect(),
+        spare: Vec::new(),
         taken: 0,
         written: 0,
         stop: false,
     });
     let turn = Condvar::new();
-    let build = |keys: Vec<K>| {
+    let build = |keys: Vec<K>, mut image: Vec<u8>| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SearchTree::builder()
-                .layout(layout)
-                .storage(Storage::Implicit)
-                .keys(keys)
-                .build()
-                .and_then(|tree| tree.encode(&SaveOptions::new()))
+            SearchTree::encode_sorted_into(layout, &keys, &SaveOptions::new(), &mut image)
+                .map(|()| image)
         }))
     };
     let helper = || {
         let mut q = relock(queue.lock());
         loop {
-            if let Some((i, keys)) = q.take(threads) {
+            if let Some((i, keys, buffer)) = q.take(threads) {
                 drop(q);
-                let image = build(keys);
+                let image = build(keys, buffer);
                 q = relock(queue.lock());
                 q.built[i] = Some(image);
                 turn.notify_all();
@@ -1685,13 +1715,13 @@ fn write_shard_images<K: FixedKey>(
                 drop(q);
                 let bytes = image.unwrap_or_else(|p| std::panic::resume_unwind(p))?;
                 write(i, &bytes)?;
-                drop(bytes);
                 q = relock(queue.lock());
+                q.spare.push(bytes);
                 q.written += 1;
                 turn.notify_all();
-            } else if let Some((j, keys)) = q.take(threads) {
+            } else if let Some((j, keys, buffer)) = q.take(threads) {
                 drop(q);
-                let image = build(keys);
+                let image = build(keys, buffer);
                 q = relock(queue.lock());
                 q.built[j] = Some(image);
             } else {
@@ -2519,6 +2549,76 @@ mod tests {
         assert!(reopened.contains(100) && reopened.contains(101) && !reopened.contains(1));
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn full_plan_is_the_even_split_of_the_merged_live_set() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        let split = |plans: Vec<ShardPlan<u64>>| -> Vec<Vec<u64>> {
+            plans
+                .into_iter()
+                .map(|plan| match plan {
+                    ShardPlan::Build { keys } => keys,
+                    ShardPlan::Carry { .. } => panic!("a full plan carries no shard"),
+                })
+                .collect()
+        };
+        let even = |merged: &[u64], shards: usize| -> Vec<Vec<u64>> {
+            let n = merged.len();
+            (0..shards)
+                .map(|s| merged[s * n / shards..(s + 1) * n / shards].to_vec())
+                .collect()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        for round in 0..60 {
+            // A base inside [1000, 2000); inserts below, inside and above
+            // it, never on a base key; tombstones a random share of it
+            // (none up to all).
+            let base_keys: BTreeSet<u64> = (0..rng.random_range(1..400usize))
+                .map(|_| rng.random_range(1_000..2_000u64))
+                .collect();
+            let base = Forest::builder()
+                .shards(rng.random_range(1..6usize))
+                .keys(base_keys.iter().copied())
+                .build()
+                .unwrap();
+            let inserts: BTreeSet<u64> = (0..rng.random_range(0..300usize))
+                .map(|_| rng.random_range(0..3_000u64))
+                .filter(|k| !base_keys.contains(k))
+                .collect();
+            let share = rng.random_range(0..=4u32);
+            let tombstones: Vec<u64> = base_keys
+                .iter()
+                .copied()
+                .filter(|_| rng.random_range(0..4u32) < share)
+                .collect();
+            let frozen = Memtable {
+                inserts: inserts.into_iter().collect(),
+                tombstones,
+            };
+            let merged = merged_live(Some(&base), &frozen);
+            // More shards than keys leaves some slots empty.
+            for shards in [1, 3, 8, merged.len() + 5] {
+                let cfg = TieredConfig {
+                    shards,
+                    ..TieredConfig::default()
+                };
+                let plans = plan_shards(&cfg, Some(&base), &[], &frozen, FlushMode::Full);
+                assert_eq!(
+                    split(plans),
+                    even(&merged, shards),
+                    "round {round}, {shards} shards"
+                );
+            }
+            // No base, as at a seeded boot: the inserts alone.
+            let seed = Memtable {
+                inserts: frozen.inserts,
+                tombstones: Vec::new(),
+            };
+            let plans = plan_shards(&TieredConfig::default(), None, &[], &seed, FlushMode::Full);
+            assert_eq!(split(plans), even(&seed.inserts, 4), "round {round}");
+        }
     }
 
     #[test]

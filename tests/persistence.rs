@@ -7,7 +7,7 @@
 
 use cobtree::core::format::{self, FixedKey};
 use cobtree::core::NamedLayout;
-use cobtree::{Error, SaveOptions, SearchTree, Storage};
+use cobtree::{DescriptorKind, Error, SaveOptions, SearchTree, Storage};
 use proptest::prelude::*;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -92,6 +92,47 @@ fn saved_files_serve_identically_for_every_layout() {
                 in_memory[1].search_traced(p, &mut b)
             );
             assert_eq!(a, b, "{layout} trace({p})");
+        }
+
+        // The image written straight from the sorted keys is the
+        // implicit tree's encode, byte for byte: full and padded trees,
+        // every block size, both descriptor kinds.
+        let options = [
+            SaveOptions::new(),
+            SaveOptions::new().block_bytes(64),
+            SaveOptions::new().block_bytes(4096),
+            SaveOptions::new().descriptor(DescriptorKind::Table),
+        ];
+        let mut direct = Vec::new();
+        for count in [1u64, 2, 3, 7, 8, 9, 1023, 1024, 1025] {
+            let keys: Vec<u64> = (1..=count).map(|k| k * 7 + (k % 3)).collect();
+            let tree = SearchTree::builder()
+                .layout(layout)
+                .storage(Storage::Implicit)
+                .keys(keys.iter().copied())
+                .build()
+                .expect("build");
+            for opts in &options {
+                SearchTree::encode_sorted_into(layout, &keys, opts, &mut direct)
+                    .expect("direct image");
+                assert!(
+                    direct == tree.encode(opts).expect("encode"),
+                    "{layout}: direct image of {count} keys under {opts:?} differs"
+                );
+            }
+        }
+        // Bad key sets fail as the builder fails them.
+        for bad in [vec![], vec![3u64, 1, 2], vec![1u64, 2, 2]] {
+            let built = SearchTree::builder()
+                .layout(layout)
+                .storage(Storage::Implicit)
+                .keys(bad.iter().copied())
+                .build()
+                .unwrap_err();
+            let err =
+                SearchTree::encode_sorted_into(layout, &bad, &SaveOptions::new(), &mut direct)
+                    .unwrap_err();
+            assert_eq!(err, built, "{layout}: {bad:?}");
         }
     }
 }
