@@ -101,13 +101,6 @@ impl Generator<'_> {
     }
 }
 
-/// Materializes every node position by querying an arbitrary position
-/// function (for cross-checking index arithmetic against the engine).
-#[must_use]
-pub fn materialize_from_index(height: u32, f: impl FnMut(NodeId) -> u64) -> Layout {
-    Layout::from_fn(height, f)
-}
-
 /// Convenience: positions of all nodes of `tree` under `spec`, 1-based, in
 /// BFS order — the presentation used in the paper's Figure 5.
 #[must_use]

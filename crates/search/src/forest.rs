@@ -1120,28 +1120,6 @@ impl<K: Ord + Copy + Send + Sync> Forest<K> {
             }
         }
     }
-
-    /// Point-lookup throughput kernel: splits `probes` into `threads`
-    /// contiguous chunks, each worker routing and searching its chunk,
-    /// and returns the wrapping sum of found forest-wide ranks (the
-    /// [`Forest::rank_checksum`] of the probe set, computed in
-    /// parallel).
-    #[must_use]
-    pub fn par_rank_checksum(&self, probes: &[K], threads: usize) -> u64 {
-        let workers = threads.max(1).min(probes.len().max(1));
-        let chunk = probes.len().div_ceil(workers.max(1)).max(1);
-        let acc = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for sub in probes.chunks(chunk) {
-                let acc = &acc;
-                scope.spawn(move || {
-                    let local = self.rank_checksum(sub);
-                    acc.fetch_add(local, Ordering::Relaxed);
-                });
-            }
-        });
-        acc.load(Ordering::Relaxed)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1734,12 +1712,9 @@ mod tests {
     }
 
     #[test]
-    fn par_range_and_par_checksum_agree_with_serial() {
+    fn par_range_agrees_with_serial() {
         let f = forest(350, 5);
-        let probes: Vec<u64> = (0..1500).collect();
-        let serial = f.rank_checksum(&probes);
         for threads in [1, 2, 4, 9] {
-            assert_eq!(f.par_rank_checksum(&probes, threads), serial);
             let serial_range: Vec<u64> = f.range(100u64..=900).collect();
             assert_eq!(f.par_range(100u64..=900, threads), serial_range);
         }

@@ -5,7 +5,6 @@
 //! cobtree-serve --listen tcp:127.0.0.1:0 [--engine forest|adaptive|tiered]
 //!               [--keys N] [--shards N] [--path DIR] [--workers N]
 //!               [--durable] [--op-timeout-ms N] [--inflight N]
-//!               [--handoff N] [--width N]
 //!               [--scrub-interval-ms N] [--scrub-budget N]
 //!               [--sample-interval N] [--reopt-threshold F]
 //! ```
@@ -57,8 +56,6 @@ fn main() {
                 cfg.op_timeout = Duration::from_millis(parse("--op-timeout-ms", args.next()));
             }
             "--inflight" => cfg.inflight_per_conn = parse("--inflight", args.next()),
-            "--handoff" => cfg.handoff_queue = parse("--handoff", args.next()),
-            "--width" => cfg.batch_width = parse("--width", args.next()),
             "--scrub-interval-ms" => {
                 cfg.scrub_interval = Some(Duration::from_millis(parse(
                     "--scrub-interval-ms",
@@ -73,7 +70,7 @@ fn main() {
                     "usage: cobtree-serve --listen tcp:HOST:PORT|unix:PATH \
                      [--engine forest|adaptive|tiered] [--keys N] [--shards N] [--path DIR] \
                      [--workers N] [--durable] [--op-timeout-ms N] [--inflight N] \
-                     [--handoff N] [--width N] [--scrub-interval-ms N] [--scrub-budget N] \
+                     [--scrub-interval-ms N] [--scrub-budget N] \
                      [--sample-interval N] [--reopt-threshold F]"
                 );
                 return;

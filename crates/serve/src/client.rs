@@ -180,11 +180,6 @@ impl Client {
         self.retry_stats
     }
 
-    /// Re-seeds the jitter stream (defaults to [`RetryPolicy`]'s seed).
-    pub fn seed_retry_jitter(&mut self, seed: u64) {
-        self.retry_rng = seed;
-    }
-
     /// Writes one request without waiting for its response. The reply
     /// still arrives on the stream and will desynchronize `call`'s
     /// correlation check — this exists for tests that deliberately

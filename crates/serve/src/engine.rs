@@ -232,39 +232,11 @@ impl ServeEngine {
             return Err(Status::Unavail);
         }
         let cap = (limit as usize).min(MAX_RANGE_KEYS);
-        let mut keys = Vec::with_capacity(cap.min(256));
-        let mut truncated = false;
-        match self {
-            ServeEngine::Forest(f) => {
-                for k in f.range(lo..=hi) {
-                    if keys.len() == cap {
-                        truncated = true;
-                        break;
-                    }
-                    keys.push(k);
-                }
-            }
-            ServeEngine::Adaptive(a) => {
-                let f = a.snapshot();
-                for k in f.range(lo..=hi) {
-                    if keys.len() == cap {
-                        truncated = true;
-                        break;
-                    }
-                    keys.push(k);
-                }
-            }
-            ServeEngine::Tiered(t) => {
-                for k in t.snapshot().range(lo..=hi) {
-                    if keys.len() == cap {
-                        truncated = true;
-                        break;
-                    }
-                    keys.push(k);
-                }
-            }
-        }
-        Ok(Reply::Keys { truncated, keys })
+        Ok(match self {
+            ServeEngine::Forest(f) => capped_keys(f.range(lo..=hi), cap),
+            ServeEngine::Adaptive(a) => capped_keys(a.snapshot().range(lo..=hi), cap),
+            ServeEngine::Tiered(t) => capped_keys(t.snapshot().range(lo..=hi), cap),
+        })
     }
 
     /// The sorted-batch protocol op: ascending probes answered like
@@ -417,6 +389,21 @@ fn forest_get(f: &Forest<u64>, key: u64) -> Reply {
         f.route(key)
             .and_then(|(shard, tree)| Some((shard as u32, tree.search(key)?))),
     )
+}
+
+/// The `Keys` reply of a range scan: its first `cap` keys, with
+/// `truncated` set when the scan had more.
+fn capped_keys(scan: impl Iterator<Item = u64>, cap: usize) -> Reply {
+    let mut keys = Vec::with_capacity(cap.min(256));
+    let mut truncated = false;
+    for k in scan {
+        if keys.len() == cap {
+            truncated = true;
+            break;
+        }
+        keys.push(k);
+    }
+    Reply::Keys { truncated, keys }
 }
 
 /// The interleaved-kernel batch path shared by the forest engines.

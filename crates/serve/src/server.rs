@@ -103,6 +103,14 @@ const KILLED: u8 = 2;
 /// it bounds the cost of a wake some future change forgets.
 const BACKSTOP: Duration = Duration::from_millis(100);
 
+/// Capacity of each worker's bounded handoff queue; a full queue
+/// refuses a `Get` with `BUSY` instead of buffering, and leaves a
+/// batch part to the connection's own worker.
+const HANDOFF_QUEUE: usize = 4096;
+
+/// Interleave width for the batched descent kernel.
+const BATCH_WIDTH: usize = 8;
+
 /// The lifecycle state plus every serving thread's wake descriptor,
 /// shared by the workers, the acceptor and the [`Server`] handle.
 struct Control {
@@ -140,16 +148,10 @@ pub struct ServerConfig {
     /// on other workers counts once; a batch arriving at the cap is
     /// answered by the connection's own worker.
     pub inflight_per_conn: usize,
-    /// Capacity of each worker's bounded handoff queue; a full queue
-    /// refuses a `Get` with `BUSY` instead of buffering, and leaves a
-    /// batch part to the connection's own worker.
-    pub handoff_queue: usize,
     /// Deadline for handed-off lookups and batch parts, measured from
     /// decode; jobs past it are shed with `TIMEOUT`. Zero sheds every
     /// handoff — degenerate, but deterministic for tests.
     pub op_timeout: Duration,
-    /// Interleave width for the batched descent kernel.
-    pub batch_width: usize,
     /// Group-commit mode: when true, `Insert`/`Remove` acks are held
     /// until the memtable has been flushed to durable shards, so every
     /// acknowledged write survives a crash.
@@ -175,9 +177,7 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             inflight_per_conn: 256,
-            handoff_queue: 4096,
             op_timeout: Duration::from_secs(1),
-            batch_width: 8,
             durable_writes: false,
             write_stall_timeout: Duration::from_secs(2),
             write_buffer_cap: 1 << 20,
@@ -547,7 +547,7 @@ impl Worker {
     /// worker it sent a completion to.
     fn serve_handoffs(&mut self) {
         let mut jobs: Vec<Job> = Vec::new();
-        while jobs.len() < 4096 {
+        while jobs.len() < HANDOFF_QUEUE {
             match self.handoff_rx.try_recv() {
                 Ok(j) => jobs.push(j),
                 Err(_) => break,
@@ -578,8 +578,7 @@ impl Worker {
         let mut replies = Vec::new();
         if !lookups.is_empty() {
             let keys: Vec<u64> = lookups.iter().map(|(_, get)| get.key).collect();
-            self.engine
-                .get_batch(&keys, self.cfg.batch_width, &mut replies);
+            self.engine.get_batch(&keys, BATCH_WIDTH, &mut replies);
         }
         for ((origin, get), result) in lookups.into_iter().zip(replies) {
             let _ = self.done_tx[origin].send(Done::Get(get, result));
@@ -992,8 +991,7 @@ impl Worker {
         self.active = true;
         let keys: Vec<u64> = locals.iter().map(|l| l.key).collect();
         let mut replies = Vec::new();
-        self.engine
-            .get_batch(&keys, self.cfg.batch_width, &mut replies);
+        self.engine.get_batch(&keys, BATCH_WIDTH, &mut replies);
         for (l, reply) in locals.drain(..).zip(replies) {
             if let Some(conn) = self.conns.get_mut(&l.conn) {
                 finish(&self.stats, conn, l.req_id, Opcode::Get, l.t0, reply);
@@ -1191,7 +1189,7 @@ impl Server {
             let (ctx, crx) = mpsc::channel::<NetStream>();
             conn_txs.push(ctx);
             conn_rxs.push(crx);
-            let (htx, hrx) = mpsc::sync_channel::<Job>(cfg.handoff_queue.max(1));
+            let (htx, hrx) = mpsc::sync_channel::<Job>(HANDOFF_QUEUE);
             handoff_txs.push(htx);
             handoff_rxs.push(hrx);
             let (dtx, drx) = mpsc::channel::<Done>();

@@ -10,14 +10,14 @@
 //!   answering, and healed by the next flush.
 
 use cobtree::core::io::{FaultIo, FaultKind, FaultRule, IoOp, StorageIo};
-use cobtree::core::protocol::{Reply, Request, Status};
+use cobtree::core::protocol::{Reply, Request, StatsSnapshot, Status};
 use cobtree::core::NamedLayout;
 use cobtree::serve::bomber::{self, BomberConfig, OpMix};
 use cobtree::serve::{Client, ServeEngine, Server, ServerConfig};
 use cobtree::TieredForest;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str, salt: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -331,5 +331,123 @@ fn scrub_detects_quarantines_and_heals_under_load() {
     assert!(reopened.locate(99_999).is_some(), "acked heal-write lost");
     assert_eq!(reopened.quarantined_shards(), 0);
     drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Polls `STATS` until `done` holds, failing after a few seconds.
+fn await_stats(
+    client: &mut Client,
+    what: &str,
+    done: impl Fn(&StatsSnapshot) -> bool,
+) -> StatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = client.stats().expect("stats");
+        if done(&stats) {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what} never happened: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The server's own scrub thread (`ServerConfig::scrub_interval`)
+/// finds a corrupt shard file with no `scrub_step` call from outside:
+/// `STATS` shows the quarantine, the shard's keys answer `UNAVAIL`
+/// while every other key serves, and a `FLUSH` heals it.
+#[test]
+fn server_scrub_thread_quarantines_and_flush_heals() {
+    let dir = temp_dir("scrub-thread", 0x5C2B);
+    std::fs::remove_dir_all(&dir).ok();
+    let keys: Vec<u64> = (1..=600u64).map(|k| k * 2).collect();
+    drop(
+        TieredForest::builder()
+            .layout(NamedLayout::MinWep)
+            .shards(3)
+            .path(&dir)
+            .background(false)
+            .keys(keys.iter().copied())
+            .build()
+            .expect("seed store"),
+    );
+    let fault = Arc::new(FaultIo::passthrough());
+    let tiered = Arc::new(
+        TieredForest::builder()
+            .path(&dir)
+            .background(false)
+            .io(Arc::clone(&fault) as Arc<dyn StorageIo>)
+            .build()
+            .expect("reopen behind fault seam"),
+    );
+    let server = Server::start(
+        ServeEngine::Tiered(Arc::clone(&tiered)),
+        "tcp:127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            scrub_interval: Some(Duration::from_millis(10)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start server");
+    let mut client = Client::connect(&server.addr().to_spec()).expect("connect");
+    let clean = await_stats(&mut client, "a clean scrub pass", |s| s.scrub_passes >= 1);
+    assert_eq!(clean.quarantined_shards, 0, "a clean store was quarantined");
+
+    // Between flushes the scrub thread is the only reader of shard
+    // files, one file per tick. Arming two reads ahead keeps the flip
+    // even if one of its reads lands between sampling the counter and
+    // adding the rule.
+    let rule = FaultRule {
+        op: IoOp::Read,
+        nth: fault.op_count(IoOp::Read) + 2,
+        kind: FaultKind::BitFlip(12_345),
+    };
+    let armed = client.stats().expect("stats").scrub_passes;
+    fault.add_rule(rule);
+    let degraded = await_stats(&mut client, "a scrub quarantine", |s| {
+        s.quarantined_shards == 1 && s.scrub_passes > armed
+    });
+    assert_eq!(degraded.heals, 0);
+    assert_eq!(fault.pending_rules(), 0, "the armed rule fired");
+    let log = fault.event_log();
+    assert!(
+        log.contains(&format!("read#{} bit-flip:12345", rule.nth)),
+        "event log records the injection: {log}"
+    );
+
+    let (unavail, serving): (Vec<u64>, Vec<u64>) = keys
+        .iter()
+        .partition(|&&k| tiered.check_available(k).is_err());
+    assert!(!unavail.is_empty() && !serving.is_empty());
+    for &probe in unavail.iter().take(5) {
+        let resp = client.call(&Request::Get { key: probe }).expect("call");
+        assert_eq!(resp.status, Status::Unavail, "quarantined probe {probe}");
+    }
+    for &probe in serving.iter().step_by(37) {
+        let resp = client.call(&Request::Get { key: probe }).expect("call");
+        assert_eq!(resp.status, Status::Ok, "serving probe {probe}");
+        assert!(matches!(resp.reply, Some(Reply::Hit { found: true, .. })));
+    }
+
+    // A flush with nothing buffered still republishes, because a shard
+    // is quarantined: the rebuild is the heal.
+    assert_eq!(
+        client.call(&Request::Flush).expect("flush").status,
+        Status::Ok
+    );
+    let healed = client.stats().expect("stats");
+    assert_eq!(healed.heals, 1, "{healed:?}");
+    assert_eq!(healed.quarantined_shards, 0, "{healed:?}");
+    for &probe in &unavail {
+        let resp = client.call(&Request::Get { key: probe }).expect("call");
+        assert_eq!(resp.status, Status::Ok, "healed probe {probe}");
+        assert!(matches!(resp.reply, Some(Reply::Hit { found: true, .. })));
+    }
+    drop(client);
+    server.shutdown().expect("shutdown");
+    drop(tiered);
     std::fs::remove_dir_all(&dir).ok();
 }
