@@ -322,6 +322,138 @@ fn fat_geometry_fuzz_never_panics() {
     assert!(SearchTree::<u64>::open_bytes(image).is_ok());
 }
 
+/// Backward compatibility: a v3 image restamped to v1 and to v2 and
+/// honestly resealed (FNV-1a content, as those versions wrote it)
+/// differs from the v3 image only in the version byte and the two
+/// checksums, opens, and answers exactly like it. A version byte that
+/// disagrees with the content algorithm fails the content checksum.
+#[test]
+fn version_1_and_2_files_still_open_and_answer_like_version_3() {
+    use cobtree::core::fat::{FatLayout, FatOrder};
+
+    let keys: Vec<u64> = (1..=300u64).map(|k| k * 7).collect();
+    let probes: Vec<u64> = (0..2200u64).collect();
+    let binary = SearchTree::builder()
+        .layout(NamedLayout::MinWep)
+        .keys(keys.iter().copied())
+        .build()
+        .expect("build");
+    let fat = SearchTree::builder()
+        .layout(FatLayout::new(FatOrder::Veb, 8).unwrap())
+        .storage(Storage::Implicit)
+        .keys(keys.iter().copied())
+        .build()
+        .expect("build fat");
+    let cases = [
+        (&binary, DescriptorKind::Auto, &[1u16, 2][..]),
+        (&binary, DescriptorKind::Table, &[1, 2][..]),
+        // Fat geometry arrived with v2, so a fat file is never v1.
+        (&fat, DescriptorKind::Auto, &[2][..]),
+    ];
+    let restamp = |image: &[u8], version: u16| {
+        let mut f = image.to_vec();
+        f[4..6].copy_from_slice(&version.to_le_bytes());
+        format::seal_content_hash(&mut f);
+        format::seal_header_hash(&mut f);
+        f
+    };
+    for (tree, kind, old_versions) in cases {
+        let tag = format!("{} {kind:?}", tree.layout_label());
+        let image = tree
+            .encode(&SaveOptions::new().descriptor(kind))
+            .expect("encode");
+        assert_eq!(image[4..6], format::VERSION.to_le_bytes(), "{tag}");
+        assert_eq!(format::VERSION, 3);
+        let v3 = SearchTree::<u64>::open_bytes(image.clone()).expect("open v3");
+        let want_checksum = v3.search_batch_checksum(&probes);
+        let want_keys: Vec<u64> = v3.iter().collect();
+        assert_eq!(want_keys, keys, "{tag}");
+
+        for &old in old_versions {
+            let f = restamp(&image, old);
+            let changed: Vec<usize> = (0..f.len()).filter(|&i| f[i] != image[i]).collect();
+            assert!(
+                changed.iter().all(|&i| i == 4 || (80..96).contains(&i)),
+                "{tag} v{old}: bytes {changed:?} changed"
+            );
+            let served = SearchTree::<u64>::open_bytes(f).expect("an older version opens");
+            assert_eq!(served.len(), keys.len() as u64, "{tag} v{old}");
+            assert_eq!(served.layout_label(), v3.layout_label(), "{tag} v{old}");
+            assert_eq!(
+                served.search_batch_checksum(&probes),
+                want_checksum,
+                "{tag} v{old}"
+            );
+            assert_eq!(
+                served.iter().collect::<Vec<u64>>(),
+                want_keys,
+                "{tag} v{old}"
+            );
+        }
+
+        // A v2 stamp over XXH64 content.
+        let mut f = image.clone();
+        f[4..6].copy_from_slice(&2u16.to_le_bytes());
+        format::seal_header_hash(&mut f);
+        assert_eq!(
+            SearchTree::<u64>::open_bytes(f).unwrap_err(),
+            Error::ChecksumMismatch { region: "content" },
+            "{tag}: v2 stamp over XXH64 content"
+        );
+        // A v3 stamp over FNV-1a content.
+        let mut f = restamp(&image, 2);
+        f[4..6].copy_from_slice(&3u16.to_le_bytes());
+        format::seal_header_hash(&mut f);
+        assert_eq!(
+            SearchTree::<u64>::open_bytes(f).unwrap_err(),
+            Error::ChecksumMismatch { region: "content" },
+            "{tag}: v3 stamp over FNV-1a content"
+        );
+    }
+}
+
+/// Every single-bit flip of a small v3 image fails typed: a flip
+/// anywhere after the header fails the content checksum, and a flip in
+/// the header fails its magic, version, endianness or checksum check.
+/// Both descriptor kinds; no flip may open or panic.
+#[test]
+fn every_bit_flip_of_a_small_v3_image_fails_typed() {
+    let tree = SearchTree::builder()
+        .layout(NamedLayout::MinWep)
+        .keys((1..=100u64).map(|k| k * 13))
+        .build()
+        .expect("build");
+    for kind in [DescriptorKind::Auto, DescriptorKind::Table] {
+        let image = tree
+            .encode(&SaveOptions::new().descriptor(kind))
+            .expect("encode");
+        assert_eq!(image[4..6], 3u16.to_le_bytes());
+        assert!(SearchTree::<u64>::open_bytes(image.clone()).is_ok());
+        for at in 0..image.len() {
+            for bit in 0..8 {
+                let mut f = image.clone();
+                f[at] ^= 1 << bit;
+                let err =
+                    SearchTree::<u64>::open_bytes(f).expect_err("a flipped bit must not open");
+                let expected = match at {
+                    0..=3 => matches!(err, Error::BadMagic { .. }),
+                    // 3 → 1 or 2 is a supported version whose header
+                    // checksum no longer holds; anything else is not.
+                    4 | 5 => matches!(
+                        err,
+                        Error::UnsupportedVersion { .. }
+                            | Error::ChecksumMismatch { region: "header" }
+                    ),
+                    6 | 7 => matches!(err, Error::Malformed { .. }),
+                    8..=95 => err == Error::ChecksumMismatch { region: "header" },
+                    _ => err == Error::ChecksumMismatch { region: "content" },
+                };
+                assert!(expected, "{kind:?} byte {at} bit {bit}: {err:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(26))]
 

@@ -7,6 +7,7 @@
 //! store that reopens to precisely the state of the last successful
 //! publish, without panicking.
 
+use cobtree::core::format;
 use cobtree::core::NamedLayout;
 use cobtree::{TierPlace, TieredForest};
 use proptest::prelude::*;
@@ -342,6 +343,100 @@ fn empty_and_fully_drained_engines_answer_every_query() {
     drop(engine);
     let back: TieredForest<u64> = TieredForest::open(&dir).expect("reopen empty");
     assert_matches_oracle(&back, &BTreeSet::new(), "reopened empty");
+    drop(back);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The generation and format version (header bytes 4..6) of every
+/// shard file the newest manifest in `dir` references.
+fn current_shard_versions(dir: &std::path::Path) -> Vec<(u64, u16)> {
+    let epoch = std::fs::read_dir(dir)
+        .expect("list store")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            name.strip_prefix("forest-e")?
+                .strip_suffix(".cobf")?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .expect("a published manifest");
+    let bytes = std::fs::read(dir.join(format!("forest-e{epoch:08}.cobf"))).expect("manifest");
+    let manifest = format::parse_manifest_v2::<u64>(&bytes).expect("valid manifest");
+    manifest
+        .shards
+        .iter()
+        .filter(|r| r.bounds.is_some())
+        .map(|r| {
+            let file = std::fs::read(dir.join(format!("shard-g{:08}.cobt", r.generation)))
+                .expect("shard file");
+            (r.generation, u16::from_le_bytes([file[4], file[5]]))
+        })
+        .collect()
+}
+
+/// Upgrade path: a store whose shard files are all format v2 (FNV-1a
+/// content) reopens; an incremental flush writes the one shard it
+/// touches as v3 and carries the others as v2; the mixed store serves
+/// its oracle and reopens to it.
+#[test]
+fn v2_shard_files_reopen_and_upgrade_one_flush_at_a_time() {
+    let dir = temp_dir("upgrade", 0x2);
+    std::fs::remove_dir_all(&dir).ok();
+    let seed: Vec<u64> = (1..=400u64).map(|k| k * 3).collect();
+    let engine: TieredForest<u64> = TieredForest::builder()
+        .shards(4)
+        .memtable_entries(1 << 30)
+        .path(&dir)
+        .keys(seed.iter().copied())
+        .build()
+        .expect("build durable engine");
+    drop(engine);
+
+    // Restamp every shard file as v2, sealed as v2 wrote it.
+    let seeded = current_shard_versions(&dir);
+    assert_eq!(seeded.len(), 4);
+    for &(generation, version) in &seeded {
+        assert_eq!(version, format::VERSION);
+        let path = dir.join(format!("shard-g{generation:08}.cobt"));
+        let mut file = std::fs::read(&path).expect("read shard");
+        file[4..6].copy_from_slice(&2u16.to_le_bytes());
+        format::seal_content_hash(&mut file);
+        format::seal_header_hash(&mut file);
+        std::fs::write(&path, file).expect("restamp shard");
+    }
+
+    let engine: TieredForest<u64> = TieredForest::open(&dir).expect("reopen a v2 store");
+    let mut oracle: BTreeSet<u64> = seed.into_iter().collect();
+    assert_matches_oracle(&engine, &oracle, "v2 store");
+
+    // Touch only the first shard (it holds 3..=300).
+    for k in [4u64, 5, 7, 299] {
+        assert!(engine.insert(k));
+        oracle.insert(k);
+    }
+    assert!(engine.remove(9));
+    oracle.remove(&9);
+    assert!(engine.flush().expect("incremental flush"));
+
+    let mixed = current_shard_versions(&dir);
+    assert_eq!(mixed.len(), 4);
+    let old_gens: Vec<u64> = seeded.iter().map(|&(g, _)| g).collect();
+    assert_eq!(
+        &mixed[1..],
+        &seeded[1..].iter().map(|&(g, _)| (g, 2)).collect::<Vec<_>>()[..]
+    );
+    assert!(
+        !old_gens.contains(&mixed[0].0),
+        "the touched shard is rewritten"
+    );
+    assert_eq!(mixed[0].1, format::VERSION, "and written as v3");
+    assert_matches_oracle(&engine, &oracle, "mixed store");
+
+    drop(engine);
+    let back: TieredForest<u64> = TieredForest::open(&dir).expect("reopen the mixed store");
+    assert_eq!(current_shard_versions(&dir), mixed);
+    assert_matches_oracle(&back, &oracle, "reopened mixed store");
     drop(back);
     std::fs::remove_dir_all(&dir).ok();
 }
