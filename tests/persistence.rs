@@ -322,11 +322,12 @@ fn fat_geometry_fuzz_never_panics() {
     assert!(SearchTree::<u64>::open_bytes(image).is_ok());
 }
 
-/// Backward compatibility: a v3 image restamped to v1 and to v2 and
-/// honestly resealed (FNV-1a content, as those versions wrote it)
-/// differs from the v3 image only in the version byte and the two
-/// checksums, opens, and answers exactly like it. A version byte that
-/// disagrees with the content algorithm fails the content checksum.
+/// Backward compatibility: a v3 image (XXH64 content, FNV-1a header)
+/// restamped to v1 and to v2 and honestly resealed (FNV-1a content, as
+/// those versions wrote it) differs from the v3 image only in the
+/// version byte and the two checksums, opens, and answers exactly like
+/// it. A version byte that disagrees with the content algorithm fails
+/// the content checksum.
 #[test]
 fn version_1_and_2_files_still_open_and_answer_like_version_3() {
     use cobtree::core::fat::{FatLayout, FatOrder};
@@ -357,13 +358,17 @@ fn version_1_and_2_files_still_open_and_answer_like_version_3() {
         format::seal_header_hash(&mut f);
         f
     };
+    assert_eq!(format::VERSION, 3);
     for (tree, kind, old_versions) in cases {
         let tag = format!("{} {kind:?}", tree.layout_label());
         let image = tree
             .encode(&SaveOptions::new().descriptor(kind))
             .expect("encode");
-        assert_eq!(image[4..6], format::VERSION.to_le_bytes(), "{tag}");
-        assert_eq!(format::VERSION, 3);
+        assert_eq!(image[4..6], 3u16.to_le_bytes(), "{tag}");
+        let xxh = format::xxh64(&image[format::HEADER_LEN..]);
+        assert_eq!(image[80..88], xxh.to_le_bytes(), "{tag}: XXH64 content");
+        let header = format::fnv1a(format::fnv1a_init(), &image[..88]);
+        assert_eq!(image[88..96], header.to_le_bytes(), "{tag}: FNV-1a header");
         let v3 = SearchTree::<u64>::open_bytes(image.clone()).expect("open v3");
         let want_checksum = v3.search_batch_checksum(&probes);
         let want_keys: Vec<u64> = v3.iter().collect();
@@ -376,6 +381,8 @@ fn version_1_and_2_files_still_open_and_answer_like_version_3() {
                 changed.iter().all(|&i| i == 4 || (80..96).contains(&i)),
                 "{tag} v{old}: bytes {changed:?} changed"
             );
+            let fnv = format::fnv1a(format::fnv1a_init(), &f[format::HEADER_LEN..]);
+            assert_eq!(f[80..88], fnv.to_le_bytes(), "{tag} v{old}: FNV-1a content");
             let served = SearchTree::<u64>::open_bytes(f).expect("an older version opens");
             assert_eq!(served.len(), keys.len() as u64, "{tag} v{old}");
             assert_eq!(served.layout_label(), v3.layout_label(), "{tag} v{old}");
