@@ -940,8 +940,9 @@ fn manifest_stride<K: FixedKey>() -> usize {
 }
 
 /// Serializes a forest manifest: the shard count, total key count and
-/// per-shard `(key_count, first_key, last_key)` rows, sealed with the
-/// same FNV-1a header/content checksums as tree files. Shard order is
+/// per-shard `(key_count, first_key, last_key)` rows, sealed with
+/// FNV-1a 64 content and header checksums (the header checksum covers
+/// the content checksum, as in tree files). Shard order is
 /// the range-partition order; occupied shards must be non-overlapping
 /// and ascending.
 ///

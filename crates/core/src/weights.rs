@@ -408,8 +408,9 @@ pub const WEIGHT_HEADER_LEN: usize = 44;
 
 /// Serializes an [`ObservedProfile`] into the `.cobw` sidecar bytes:
 /// a fixed header (magic, version, endianness, height, total, rank
-/// count) sealed with the same FNV-1a header/content checksum
-/// discipline as tree files, followed by the padded per-rank counts as
+/// count) sealed with FNV-1a 64 content and header checksums (the
+/// header checksum covers the content checksum, as in tree files),
+/// followed by the padded per-rank counts as
 /// `u64` little-endian. Byte spec in `docs/FORMAT.md`.
 #[must_use]
 pub fn encode_weight_profile(profile: &ObservedProfile) -> Vec<u8> {
