@@ -30,12 +30,13 @@ mod tests {
 
     #[test]
     fn median_is_positive_and_stable_order() {
-        // black_box the loop bounds so release builds cannot
-        // const-fold either kernel to zero work — without it the two
-        // medians are both scheduler noise and the ordering flakes
-        // under a loaded test harness.
-        let slow = median_time(3, 100, || (0..black_box(400_000u64)).sum());
-        let fast = median_time(3, 100, || (0..black_box(1_000u64)).sum());
+        // black_box every element, not just the bound: with an opaque
+        // bound alone, release builds still turn the range sum into its
+        // closed form `n(n − 1)/2`, both kernels cost the same few ns,
+        // and the ordering is scheduler noise. An opaque value per
+        // element keeps one add per element in either kernel.
+        let slow = median_time(3, 100, || (0..black_box(400_000u64)).map(black_box).sum());
+        let fast = median_time(3, 100, || (0..black_box(1_000u64)).map(black_box).sum());
         assert!(slow > 0.0 && fast > 0.0);
         assert!(slow >= fast, "slow {slow} vs fast {fast}");
     }

@@ -24,7 +24,7 @@ pub mod simple;
 pub mod veb;
 pub mod wep;
 
-pub use plan::StepPlan;
+pub use plan::{FramePlan, StepPlan};
 
 use crate::layout::Layout;
 use crate::named::NamedLayout;
@@ -192,7 +192,7 @@ impl NamedLayout {
             NamedLayout::InVeb => Box::new(veb::InVebIndex::new(height)),
             NamedLayout::MinWla => Box::new(wep::MinWlaIndex::new(height)),
             NamedLayout::MinEp => Box::new(wep::WepIndex::new(height, wep::partition_minep)),
-            NamedLayout::MinWep => Box::new(wep::WepIndex::new(height, wep::partition_minwep)),
+            NamedLayout::MinWep => Box::new(wep::WepIndex::minwep(height)),
             NamedLayout::PreVebA | NamedLayout::InVebA | NamedLayout::HalfWep => {
                 Box::new(generic::GenericIndexer::new(self.spec(), height))
             }

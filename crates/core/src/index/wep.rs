@@ -15,6 +15,7 @@
 //! negated by `q ^= r` on mirrored flanks. All arithmetic is wrapping, as
 //! in the original C.
 
+use crate::index::plan::StepPlan;
 use crate::index::PositionIndex;
 use crate::tree::NodeId;
 
@@ -84,14 +85,34 @@ pub fn wep_index(partition: impl Fn(u32) -> u32, mut i: u64, mut d: u32, mut h: 
 pub struct WepIndex {
     height: u32,
     partition: fn(u32) -> u32,
+    /// Whether this is MINWEP, which compiles to [`StepPlan::Frames`].
+    /// Carried as a flag: `fn` pointers have no reliable identity to
+    /// compare against [`partition_minwep`].
+    minwep: bool,
 }
 
 impl WepIndex {
-    /// Creates a WEP-family indexer (use [`partition_minwep`] or
-    /// [`partition_minep`]).
+    /// Creates a WEP-family indexer for any pre-order cut function
+    /// (e.g. [`partition_minep`]). Its plan is [`StepPlan::Wep`]; use
+    /// [`WepIndex::minwep`] for MINWEP's frame plan.
     #[must_use]
     pub fn new(height: u32, partition: fn(u32) -> u32) -> Self {
-        Self { height, partition }
+        Self {
+            height,
+            partition,
+            minwep: false,
+        }
+    }
+
+    /// The MINWEP indexer ([`partition_minwep`]), whose plan is
+    /// [`StepPlan::Frames`].
+    #[must_use]
+    pub fn minwep(height: u32) -> Self {
+        Self {
+            height,
+            partition: partition_minwep,
+            minwep: true,
+        }
     }
 }
 
@@ -105,10 +126,14 @@ impl PositionIndex for WepIndex {
         wep_index(self.partition, node, depth, self.height) - 1
     }
 
-    fn compile_plan(&self) -> Option<crate::index::plan::StepPlan> {
-        Some(crate::index::plan::StepPlan::Wep {
-            height: self.height,
-            partition: self.partition,
+    fn compile_plan(&self) -> Option<StepPlan> {
+        Some(if self.minwep {
+            StepPlan::minwep(self.height)
+        } else {
+            StepPlan::Wep {
+                height: self.height,
+                partition: self.partition,
+            }
         })
     }
 }
@@ -164,8 +189,8 @@ impl PositionIndex for MinWlaIndex {
         minwla_position(self.height, node, depth)
     }
 
-    fn compile_plan(&self) -> Option<crate::index::plan::StepPlan> {
-        Some(crate::index::plan::StepPlan::MinWla {
+    fn compile_plan(&self) -> Option<StepPlan> {
+        Some(StepPlan::MinWla {
             height: self.height,
         })
     }

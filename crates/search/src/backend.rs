@@ -138,7 +138,12 @@ pub trait SearchBackend<K: Copy + Ord> {
     /// ancestor of their paths instead of the root, so shared path
     /// prefixes are fetched once per batch rather than once per probe
     /// (the plane backends run [`crate::kernel::sorted_walk`] on their
-    /// fast plane).
+    /// fast plane). On a binary fast plane a sparse batch — fewer than
+    /// one probe per [`crate::kernel::SPARSE_RUN_KEYS_PER_PROBE`]
+    /// stored keys — shares little of its paths; it is checked for
+    /// order up front and runs the interleaved kernel
+    /// ([`crate::kernel::fold_interleaved`]) instead, with the same
+    /// answers and the same error.
     ///
     /// `out` is cleared and filled with one entry per probe (the found
     /// layout position, as [`SearchBackend::search`] would return).

@@ -860,8 +860,11 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
     /// under `opts` for the [`Storage::Implicit`] `layout` tree over
     /// `keys`, without building the tree: each key goes straight to its
     /// layout position for its in-order rank, and padding slots stay
-    /// zero. The key set is checked as [`SearchTreeBuilder::build`]
-    /// checks it. `out`'s allocation is reused, so one buffer can serve
+    /// zero. Positions come from the layout's compiled
+    /// [`StepPlan`](cobtree_core::index::StepPlan) where it has one
+    /// (the indexer otherwise), for the keys and for a table
+    /// descriptor alike. The key set is checked as
+    /// [`SearchTreeBuilder::build`] checks it. `out`'s allocation is reused, so one buffer can serve
     /// a run of images.
     ///
     /// ```
@@ -891,12 +894,20 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
     ) -> Result<()> {
         let height = fitted_height(keys)?;
         let index = layout.try_indexer(height)?;
+        // Positions from the compiled plan (O(1) per key from MINWEP's
+        // frame tables, where Listing 1 loops over the depth); only the
+        // layouts without one call the indexer.
+        let plan = index.compile_plan();
+        let positions = match &plan {
+            Some(plan) => kernel::PosRef::Plan(plan),
+            None => kernel::PosRef::Index(index.as_ref()),
+        };
         let tree = Tree::new(height);
         let table: Vec<u32>;
         let descriptor = if opts.descriptor == DescriptorKind::Table {
             table = tree
                 .nodes()
-                .map(|i| index.position(i, tree.depth(i)) as u32)
+                .map(|i| positions.at(i, tree.depth(i)) as u32)
                 .collect();
             Descriptor::Table {
                 label: layout.label(),
@@ -914,7 +925,7 @@ impl<K: Ord + Copy + FixedKey> SearchTree<K> {
             |region| {
                 for (rank, &key) in (1..).zip(keys) {
                     let node = tree.node_at_in_order(rank);
-                    let at = index.position(node, tree.depth(node)) as usize * K::WIDTH;
+                    let at = positions.at(node, tree.depth(node)) as usize * K::WIDTH;
                     key.write_le(&mut region[at..at + K::WIDTH]);
                 }
             },

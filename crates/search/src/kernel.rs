@@ -26,7 +26,11 @@
 //! Sorted batches run [`sorted_walk`], the reference walk's
 //! shared-prefix form: untraced on a binary fast plane (fat backends
 //! walk their binary reference plane), traced on the reference plane,
-//! so cache replay sees the nodes the oracle fetches.
+//! so cache replay sees the nodes the oracle fetches. A sparse batch on
+//! a binary fast plane — fewer than one probe per
+//! [`SPARSE_RUN_KEYS_PER_PROBE`] stored keys — shares little of its
+//! paths, so it is checked for order and runs [`fold_interleaved`]
+//! instead, whose lanes overlap their misses.
 //!
 //! The binary planes are [`ArrayPlane`] (keys in layout order, the
 //! implicit backend), [`RankPlane`] (keys in sorted order, the
@@ -42,7 +46,9 @@
 //!
 //! * **Devirtualized positions** — [`PosRef`] resolves positions with
 //!   one perfectly predicted enum dispatch instead of a virtual call
-//!   per level.
+//!   per level. Table-backed plans ([`StepPlan::Table`], MINWEP's
+//!   [`StepPlan::Frames`]) and mapped tables are answered inline, in a
+//!   load or two; the other plans cost one direct call.
 //! * **Branch-free descent** — the three-way compare is replaced by
 //!   `i = 2i + (probe > key)`, with the `Equal` case hoisted out of the
 //!   loop entirely: the kernel tracks the most recent slot whose key
@@ -91,6 +97,20 @@ pub const DEFAULT_LANES: usize = 8;
 /// array indices or ranks, far below `u64::MAX`).
 const NO_CAND: u64 = u64::MAX;
 
+/// Stored keys per probe above which a sorted batch on a binary plane
+/// is *sparse* and runs [`fold_interleaved`] instead of
+/// [`sorted_walk`]: the walk pays off when consecutive probes share a
+/// long path prefix, the fold when they share little and their
+/// independent misses can overlap.
+///
+/// The crossover measured on a 2-vCPU VM (release build; 4M keys in 8
+/// mapped MINWEP shards of 524,288 keys; sorted uniform runs, ns/probe
+/// walk / fold, two runs each): 2,048 probes/shard 372–374 / 254–275;
+/// 4,096 257–265 / 238–239; 5,120 240–252 / 228–244; 6,144 222–226 /
+/// 224–226; 7,168 202–210 / 225–259; 8,192 185–202 / 209–238; 32,768
+/// 117 / 202. The two meet at 85–102 keys per probe.
+pub const SPARSE_RUN_KEYS_PER_PROBE: u64 = 96;
+
 /// Issues a read prefetch for `ptr` where the target supports it (a
 /// no-op elsewhere — the kernels stay portable).
 #[inline(always)]
@@ -127,7 +147,7 @@ pub enum PosRef<'a> {
 
 impl PosRef<'_> {
     /// Layout position of `node` at `depth`.
-    #[inline]
+    #[inline(always)]
     #[must_use]
     pub fn at(&self, node: u64, depth: u32) -> u64 {
         match self {
@@ -1119,10 +1139,15 @@ impl<B: DescentPlane, F: FatPlane<Key = B::Key>> FastPlane<B, F> {
         }
     }
 
-    /// The untraced [`sorted_walk`]: on this binary plane, or on the
-    /// binary `reference` plane when this one is fat (a chunk kernel has
-    /// no shared prefix to keep, and the node-by-node walk over the same
-    /// slots beats per-probe chunk descents on dense batches).
+    /// The untraced sorted batch. On this binary plane a sparse run
+    /// (fewer than one probe per [`SPARSE_RUN_KEYS_PER_PROBE`] stored
+    /// keys) is checked for order up front and goes through
+    /// [`fold_interleaved`], whose lanes overlap their misses; a denser
+    /// run takes [`sorted_walk`], which fetches a shared path prefix
+    /// once. A fat plane walks the binary `reference` plane (a chunk
+    /// kernel has no shared prefix to keep, and the node-by-node walk
+    /// over the same slots beats per-probe chunk descents on dense
+    /// batches).
     fn sorted_walk(
         &self,
         reference: &impl DescentPlane<Key = B::Key>,
@@ -1130,6 +1155,16 @@ impl<B: DescentPlane, F: FatPlane<Key = B::Key>> FastPlane<B, F> {
         emit: impl FnMut(usize, Option<u64>),
     ) -> Result<()> {
         match self {
+            Self::Binary(p)
+                if (probes.len() as u64).saturating_mul(SPARSE_RUN_KEYS_PER_PROBE)
+                    < p.key_count() =>
+            {
+                if let Some(index) = probes.windows(2).position(|w| w[1] < w[0]) {
+                    return Err(Error::UnsortedBatch { index });
+                }
+                fold_interleaved(p, probes, DEFAULT_LANES, emit);
+                Ok(())
+            }
             Self::Binary(p) => sorted_walk(p, probes, emit, None),
             Self::Fat(_) => sorted_walk(reference, probes, emit, None),
         }

@@ -94,3 +94,23 @@ proptest! {
         }
     }
 }
+
+/// The sorted batch on both arms of the binary planes' dispatch (the
+/// index-only storage of a fat layout descends a binary plane; the fat
+/// heap and mapped planes always walk their binary reference plane),
+/// with a tree large enough for the fold arm to take runs of dozens of
+/// probes.
+#[test]
+fn fat_sorted_batch_matches_reference_walk_on_both_dispatch_arms() {
+    use cobtree_search::kernel::SPARSE_RUN_KEYS_PER_PROBE;
+    let n = 40 * SPARSE_RUN_KEYS_PER_PROBE;
+    let keys: Vec<u64> = (1..=n).map(|k| k * 3).collect();
+    let probes: Vec<u64> = (0..400u64)
+        .map(|i| (i * 2_654_435_761) % (3 * n + 50))
+        .collect();
+    let layout = FatLayout::ALL[0];
+    for (name, tree) in all_backends(layout, &keys, &[DescriptorKind::Auto]) {
+        check_sorted_batch(&format!("{layout}/{name}"), &tree, &keys, &probes)
+            .unwrap_or_else(|e| panic!("{e:?}"));
+    }
+}

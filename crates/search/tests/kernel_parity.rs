@@ -174,6 +174,31 @@ proptest! {
     }
 }
 
+/// The sorted batch on both arms of the binary planes' dispatch, with
+/// trees large enough for the fold arm to take runs of dozens of
+/// probes: the mapped plane's boundary falls exactly on a run of 40.
+/// MINWEP compiles to frame tables, MINEP to Listing 1, HALFWEP to
+/// nothing (the virtual indexer); the key set leaves padding slots.
+#[test]
+fn sorted_batch_matches_reference_walk_on_both_dispatch_arms() {
+    use cobtree_search::kernel::SPARSE_RUN_KEYS_PER_PROBE;
+    let n = 40 * SPARSE_RUN_KEYS_PER_PROBE;
+    let keys: Vec<u64> = (1..=n).map(|k| k * 3).collect();
+    let probes: Vec<u64> = (0..400u64)
+        .map(|i| (i * 2_654_435_761) % (3 * n + 50))
+        .collect();
+    for layout in [
+        NamedLayout::MinWep,
+        NamedLayout::MinEp,
+        NamedLayout::HalfWep,
+    ] {
+        for (name, tree) in all_backends(layout, &keys, &DESCRIPTORS) {
+            check_sorted_batch(&format!("{layout}/{name}"), &tree, &keys, &probes)
+                .unwrap_or_else(|e| panic!("{e:?}"));
+        }
+    }
+}
+
 /// Forest: the interleaved fan-out answers exactly like routing and
 /// searching each probe individually, on sorted and unsorted batches.
 #[test]

@@ -4,6 +4,7 @@
 //! whose planes the kernels run on.
 
 use cobtree_core::Error;
+use cobtree_search::kernel::SPARSE_RUN_KEYS_PER_PROBE;
 use cobtree_search::{
     DescriptorKind, LayoutSource, SaveOptions, SearchBackend, SearchTree, Storage,
 };
@@ -170,6 +171,16 @@ fn node_trace(tree: &SearchTree<u64>, probe: u64) -> Vec<u64> {
     visited
 }
 
+/// `len` probes of the ascending `pool`, evenly spaced (ascending too).
+fn spaced(pool: &[u64], len: usize) -> Vec<u64> {
+    assert!(
+        len <= pool.len(),
+        "pool of {} for a run of {len}",
+        pool.len()
+    );
+    (0..len).map(|i| pool[i * pool.len() / len]).collect()
+}
+
 /// Sorted-batch parity: the shared-prefix batch answers exactly what
 /// per-probe `search_reference` answers, untraced and traced alike, on
 /// an ascending batch of hits, misses and equal adjacent probes, and on
@@ -178,6 +189,14 @@ fn node_trace(tree: &SearchTree<u64>, probe: u64) -> Vec<u64> {
 /// traced batch records, per probe, the probe's reference path minus
 /// the prefix it shares with the previous probe's path — so it fetches
 /// fewer nodes than the probes' concatenated `search_traced` visits.
+///
+/// Both arms of the binary planes' untraced dispatch answer the same:
+/// a run with fewer than one probe per [`SPARSE_RUN_KEYS_PER_PROBE`]
+/// keys of the plane (stored keys on a mapped plane, every slot on a
+/// heap plane) takes the interleaved fold, a denser one the walk. Runs
+/// one shorter than, exactly at and one longer than either boundary
+/// are checked, and a descending pair in a run on the fold arm must
+/// report the index the (always walking) traced batch reports.
 pub fn check_sorted_batch(
     name: &str,
     tree: &SearchTree<u64>,
@@ -225,6 +244,45 @@ pub fn check_sorted_batch(
             name,
             descending
         );
+    }
+
+    for plane_keys in [tree.len(), tree.capacity()] {
+        // The shortest run on the walk arm.
+        let at = plane_keys.div_ceil(SPARSE_RUN_KEYS_PER_PROBE) as usize;
+        for len in [at - 1, at, at + 1] {
+            let run = spaced(&batch, len);
+            let expect: Vec<Option<u64>> = run.iter().map(|&p| tree.search_reference(p)).collect();
+            prop_assert_eq!(tree.search_sorted_batch(&run, &mut fast), Ok(()));
+            prop_assert_eq!(
+                &fast,
+                &expect,
+                "{} run of {} ({} plane keys)",
+                name,
+                len,
+                plane_keys
+            );
+        }
+    }
+    let mut distinct = batch.clone();
+    distinct.dedup();
+    // On the fold arm of every plane: `tree.len() <= tree.capacity()`.
+    let fold = (tree.len().div_ceil(SPARSE_RUN_KEYS_PER_PROBE) as usize - 1).min(distinct.len());
+    if fold >= 2 {
+        let mut run = spaced(&distinct, fold);
+        let index = fold / 2 - 1;
+        run.swap(index, index + 1);
+        for result in [
+            tree.search_sorted_batch(&run, &mut fast),
+            tree.search_sorted_batch_traced(&run, &mut traced, &mut visited),
+        ] {
+            prop_assert_eq!(
+                result,
+                Err(Error::UnsortedBatch { index }),
+                "{} descending pair in a run of {}",
+                name,
+                fold
+            );
+        }
     }
 
     let dense: Vec<u64> = keys.iter().flat_map(|&k| [k, k + 1]).collect();

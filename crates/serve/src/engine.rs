@@ -460,9 +460,11 @@ impl BatchPlan {
         self.parts[part].0
     }
 
-    /// Part descent: the shard's shared-prefix sorted walk over the
-    /// part's probes; the in-shard layout position of each hit, `None`
-    /// for a miss.
+    /// Part descent: the shard's sorted batch over the part's probes
+    /// (`search_sorted_batch`: the shared-prefix walk, or the
+    /// interleaved kernel for a run sparser than one probe per
+    /// `SPARSE_RUN_KEYS_PER_PROBE` shard keys); the in-shard layout
+    /// position of each hit, `None` for a miss.
     pub(crate) fn descend(&self, part: usize) -> Vec<Option<u64>> {
         let (shard, range) = &self.parts[part];
         let tree = self
